@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use xsmodel::{
     CombinationFactor, ComplexTypeDefinition, ContentModel, ContentModelError, GroupDefinition,
@@ -26,22 +26,29 @@ use xsmodel::{
 /// keyed by the structural fingerprint of the group definition.
 ///
 /// Cloning an `Arc<ContentModelCache>` shares the cache; the cache
-/// itself is `Sync`, so concurrent loaders only contend on the brief
-/// map lookups, never on compilation (which runs outside the lock —
-/// a racing thread may compile the same group twice, but the second
-/// result is discarded and the entry stays canonical).
+/// itself is `Sync`. Compilation is single-flight per group: the map
+/// lock is held only to find (or create) the group's slot, and the
+/// first thread to reach an empty slot compiles into it while racing
+/// threads for the *same* group wait on that slot — so every distinct
+/// group compiles exactly once and counts exactly one miss, while
+/// different groups still compile in parallel.
 ///
 /// Lookup traffic is mirrored into an [`xsobs::Registry`]
 /// (`validate.cm_cache.*`): the process-global one by default, or an
 /// injected one via [`ContentModelCache::with_registry`].
 #[derive(Debug)]
 pub struct ContentModelCache {
-    map: Mutex<HashMap<String, Arc<ContentModel>>>,
+    map: Mutex<HashMap<String, Arc<Slot>>>,
     lookups: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     obs: Arc<xsobs::Registry>,
 }
+
+/// One group's compilation, filled exactly once. A failed compile is
+/// handed to the threads that waited on it and then dropped from the
+/// map, so errors are never cached.
+type Slot = OnceLock<Result<Arc<ContentModel>, ContentModelError>>;
 
 impl Default for ContentModelCache {
     fn default() -> Self {
@@ -74,21 +81,36 @@ impl ContentModelCache {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         self.obs.incr(xsobs::CounterId::CmCacheLookups);
         let key = fingerprint(group);
-        if let Some(cm) = self.map.lock().expect("content-model cache lock").get(&key) {
+        let slot = Arc::clone(
+            self.map.lock().expect("content-model cache lock").entry(key.clone()).or_default(),
+        );
+        let mut compiled = false;
+        let result = slot.get_or_init(|| {
+            compiled = true;
+            ContentModel::compile(group).map(Arc::new)
+        });
+        if compiled && result.is_err() {
+            let mut map = self.map.lock().expect("content-model cache lock");
+            if map.get(&key).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
+                map.remove(&key);
+            }
+        }
+        // A waiter handed a failed compile got nothing from the cache,
+        // so it counts as a miss like the compiling thread.
+        if compiled || result.is_err() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.obs.incr(xsobs::CounterId::CmCacheMisses);
+        } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.obs.incr(xsobs::CounterId::CmCacheHits);
-            return Ok(Arc::clone(cm));
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.obs.incr(xsobs::CounterId::CmCacheMisses);
-        let cm = Arc::new(ContentModel::compile(group)?);
-        let mut map = self.map.lock().expect("content-model cache lock");
-        Ok(Arc::clone(map.entry(key).or_insert(cm)))
+        result.clone()
     }
 
     /// Number of distinct content models cached.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("content-model cache lock").len()
+        let map = self.map.lock().expect("content-model cache lock");
+        map.values().filter(|slot| matches!(slot.get(), Some(Ok(_)))).count()
     }
 
     /// True when nothing has been cached yet.
@@ -106,7 +128,7 @@ impl ContentModelCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that had to compile.
+    /// Lookups that had to compile, or that got a failed compile.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }

@@ -203,8 +203,10 @@ impl Database {
 
     /// Switch strict static analysis on or off. Already-registered
     /// schemas are not re-checked; the flag governs future registrations
-    /// and queries.
-    pub fn set_strict_analysis(&mut self, on: bool) {
+    /// and queries. Crate-private: strictness is fixed when a database
+    /// is built ([`Database::with_strict_analysis`]) or opened
+    /// ([`crate::SharedDatabase::open_durable_vfs`]).
+    pub(crate) fn set_strict_analysis(&mut self, on: bool) {
         self.strict_analysis = on;
     }
 
@@ -310,7 +312,7 @@ impl Database {
         // Materialize eagerly: the paged save path (which runs under
         // `&self`) needs every document's block storage, and building it
         // here keeps later incremental saves aligned with the object
-        // node-level updates mutate.
+        // checked updates mutate.
         let storage = XmlStorage::from_tree(&loaded.store, loaded.doc);
         self.documents.insert(
             doc_name.to_string(),
@@ -534,9 +536,9 @@ impl Database {
 
     /// Materialize `doc_name` (copy-on-write if snapshots share it),
     /// run `mutate` against its block storage, and refresh the logical
-    /// S-tree from the result. The shared skeleton of every `update_*`
-    /// method; an error from `mutate` propagates before the refresh,
-    /// exactly as the updates have always behaved on partial failure.
+    /// S-tree from the result. The shared skeleton of every `*_raw`
+    /// structural applier; an error from `mutate` propagates before the
+    /// refresh.
     fn update_storage<R>(
         &mut self,
         doc_name: &str,
@@ -556,27 +558,15 @@ impl Database {
         Ok(out)
     }
 
-    /// Node-level update: under every node selected by `parent_xpath`,
-    /// append a new element (optionally with text content). Returns how
-    /// many elements were inserted.
+    /// Structural applier: under every node selected by `path`, append
+    /// a new element (optionally with text content).
     ///
-    /// Updates run on the §9 physical layer (materializing on first
-    /// use), never relabel (Proposition 1), and the logical S-tree is
-    /// refreshed from storage afterwards so queries and serialization
-    /// stay consistent. Like Sedna's untyped updates, the result is not
-    /// re-validated automatically — call [`Database::revalidate`] to
-    /// check it against the schema again.
-    pub fn update_insert_element(
-        &mut self,
-        doc_name: &str,
-        parent_xpath: &str,
-        name: &str,
-        text: Option<&str>,
-    ) -> Result<usize, DbError> {
-        let path = xpath::parse(parent_xpath)?;
-        Ok(self.insert_into_raw(doc_name, &path, name, text)?.0)
-    }
-
+    /// The `*_raw` appliers run on the §9 physical layer (materializing
+    /// on first use), never relabel (Proposition 1), and refresh the
+    /// logical S-tree from storage afterwards. They check nothing: only
+    /// [`Database::execute_update_expr`] calls them, between the static
+    /// verdict and the recheck. Each returns how many nodes it touched
+    /// and the sites whose content models a recheck must revisit.
     fn insert_into_raw(
         &mut self,
         doc_name: &str,
@@ -604,13 +594,8 @@ impl Database {
         })
     }
 
-    /// Node-level update: delete every node selected by `xpath`
-    /// (subtrees included). Returns how many nodes were deleted.
-    pub fn update_delete(&mut self, doc_name: &str, xpath: &str) -> Result<usize, DbError> {
-        let path = xpath::parse(xpath)?;
-        Ok(self.delete_raw(doc_name, &path)?.0)
-    }
-
+    /// Structural applier: delete every node selected by `path`
+    /// (subtrees included), never the document or root element.
     fn delete_raw(
         &mut self,
         doc_name: &str,
@@ -636,8 +621,8 @@ impl Database {
         })
     }
 
-    /// Node-level update: insert a new element immediately before or
-    /// after every element selected by `xpath` (as a sibling under the
+    /// Structural applier: insert a new element immediately before or
+    /// after every element selected by `path` (as a sibling under the
     /// same parent). Sibling-of-root targets are skipped: the document
     /// node admits exactly one element child.
     fn insert_adjacent_raw(
@@ -681,7 +666,7 @@ impl Database {
         })
     }
 
-    /// Node-level update: replace every element selected by `xpath`
+    /// Structural applier: replace every element selected by `path`
     /// with a fresh element `<name>text?</name>` in the same position
     /// (the old subtree is deleted). Replacing the root element is
     /// supported when the schema admits it.
@@ -714,20 +699,8 @@ impl Database {
         })
     }
 
-    /// Node-level update: set (insert or replace) an attribute on every
-    /// element selected by `xpath`. Returns how many elements were
-    /// touched.
-    pub fn update_set_attribute(
-        &mut self,
-        doc_name: &str,
-        xpath: &str,
-        name: &str,
-        value: &str,
-    ) -> Result<usize, DbError> {
-        let path = xpath::parse(xpath)?;
-        Ok(self.set_attr_raw(doc_name, &path, name, value)?.0)
-    }
-
+    /// Structural applier: set (insert or replace) an attribute on
+    /// every element selected by `path`.
     fn set_attr_raw(
         &mut self,
         doc_name: &str,
@@ -746,21 +719,10 @@ impl Database {
         })
     }
 
-    /// Node-level update: replace the text content of every element
-    /// selected by `xpath` with a single text node carrying `value`
-    /// (existing children are removed). Returns how many elements were
-    /// rewritten.
-    pub fn update_set_text(
-        &mut self,
-        doc_name: &str,
-        xpath: &str,
-        value: &str,
-    ) -> Result<usize, DbError> {
-        let path = xpath::parse(xpath)?;
-        Ok(self.set_text_raw(doc_name, &path, value)?.0)
-    }
-
-    fn set_text_raw(
+    /// Structural applier: replace the content of every element
+    /// selected by `path` with a single text node carrying `value`.
+    /// Crate-visible so persistence tests can plant an invalid document.
+    pub(crate) fn set_text_raw(
         &mut self,
         doc_name: &str,
         path: &xpath::Path,
@@ -784,7 +746,9 @@ impl Database {
     }
 
     /// Re-run §6.2 validation of a stored document against its schema
-    /// (useful after node-level updates). Returns the violations.
+    /// and return the violations. Every commit keeps a stored document
+    /// valid, so this is an audit: it returns no violations unless the
+    /// checked update path has a bug.
     ///
     /// Re-validation reuses the database's compiled content models, so
     /// only the document pass itself is repeated — no automata are
@@ -942,69 +906,6 @@ impl Database {
             self.documents.insert(doc_name.to_string(), before);
             Err(DbError::Invalid(errors))
         }
-    }
-
-    /// Guarded node-level update: insert `<name>text?</name>` as the
-    /// immediately preceding sibling of every element selected by
-    /// `target_xpath`. Statically checked; see [`Database::execute_update`].
-    pub fn update_insert_before(
-        &mut self,
-        doc_name: &str,
-        target_xpath: &str,
-        name: &str,
-        text: Option<&str>,
-    ) -> Result<UpdateOutcome, DbError> {
-        let target = xpath::parse(target_xpath)?;
-        self.execute_update_expr(
-            doc_name,
-            &xquery::UpdateExpr::InsertBefore {
-                name: name.to_string(),
-                text: text.map(str::to_string),
-                target,
-            },
-        )
-    }
-
-    /// Guarded node-level update: insert `<name>text?</name>` as the
-    /// immediately following sibling of every element selected by
-    /// `target_xpath`. Statically checked; see [`Database::execute_update`].
-    pub fn update_insert_after(
-        &mut self,
-        doc_name: &str,
-        target_xpath: &str,
-        name: &str,
-        text: Option<&str>,
-    ) -> Result<UpdateOutcome, DbError> {
-        let target = xpath::parse(target_xpath)?;
-        self.execute_update_expr(
-            doc_name,
-            &xquery::UpdateExpr::InsertAfter {
-                name: name.to_string(),
-                text: text.map(str::to_string),
-                target,
-            },
-        )
-    }
-
-    /// Guarded node-level update: replace every element selected by
-    /// `target_xpath` with a fresh `<name>text?</name>` in place.
-    /// Statically checked; see [`Database::execute_update`].
-    pub fn update_replace_node(
-        &mut self,
-        doc_name: &str,
-        target_xpath: &str,
-        name: &str,
-        text: Option<&str>,
-    ) -> Result<UpdateOutcome, DbError> {
-        let target = xpath::parse(target_xpath)?;
-        self.execute_update_expr(
-            doc_name,
-            &xquery::UpdateExpr::ReplaceNode {
-                target,
-                name: name.to_string(),
-                text: text.map(str::to_string),
-            },
-        )
     }
 
     /// Dispatch a parsed update expression onto the raw (unchecked)
@@ -1179,7 +1080,7 @@ impl Database {
 
     /// Strict-mode pre-flight: refuse an XPath any step of which is
     /// statically empty against the document's schema. A no-op unless
-    /// [`Database::set_strict_analysis`] is on.
+    /// strict analysis is on ([`Database::with_strict_analysis`]).
     fn preflight_xpath(&self, doc: &StoredDocument, path: &xpath::Path) -> Result<(), DbError> {
         if !self.strict_analysis {
             return Ok(());
@@ -1869,11 +1770,15 @@ mod update_tests {
         db
     }
 
+    /// Run one checked update on `todo`; the number of nodes it touched.
+    fn update(db: &mut Database, text: &str) -> usize {
+        db.execute_update("todo", text).unwrap().nodes
+    }
+
     #[test]
     fn insert_element_updates_queries_and_serialization() {
         let mut db = db();
-        let n = db.update_insert_element("todo", "/list", "item", Some("second")).unwrap();
-        assert_eq!(n, 1);
+        assert_eq!(update(&mut db, "insert node <item>second</item> into /list"), 1);
         assert_eq!(db.query("todo", "/list/item").unwrap(), ["first", "second"]);
         assert!(db.serialize("todo").unwrap().contains("<item>second</item>"));
     }
@@ -1881,42 +1786,51 @@ mod update_tests {
     #[test]
     fn delete_removes_selected_subtrees() {
         let mut db = db();
-        db.update_insert_element("todo", "/list", "item", Some("second")).unwrap();
-        let n = db.update_delete("todo", "/list/item[1]").unwrap();
-        assert_eq!(n, 1);
+        update(&mut db, "insert node <item>second</item> into /list");
+        assert_eq!(update(&mut db, "delete node /list/item[1]"), 1);
         assert_eq!(db.query("todo", "/list/item").unwrap(), ["second"]);
     }
 
     #[test]
     fn delete_never_removes_the_root() {
         let mut db = db();
-        assert_eq!(db.update_delete("todo", "/list").unwrap(), 0);
+        let err = db.execute_update("todo", "delete node /list").unwrap_err();
+        assert!(matches!(err, DbError::UpdateStaticallyInvalid(_)), "{err:?}");
+        // The structural applier skips the root element on its own too.
+        let root = xpath::parse("/list").unwrap();
+        assert_eq!(db.delete_raw("todo", &root).unwrap().0, 0);
         assert_eq!(db.query("todo", "/list/item").unwrap(), ["first"]);
     }
 
     #[test]
     fn set_attribute_inserts_and_replaces() {
         let mut db = db();
-        let n = db.update_set_attribute("todo", "/list/item", "state", "done").unwrap();
-        assert_eq!(n, 1);
+        assert_eq!(update(&mut db, r#"insert attribute state="done" into /list/item"#), 1);
         assert_eq!(db.query("todo", "/list/item/@state").unwrap(), ["done"]);
         // Replacing again works and does not duplicate.
-        db.update_set_attribute("todo", "/list/item", "state", "archived").unwrap();
+        update(&mut db, r#"insert attribute state="archived" into /list/item"#);
         assert_eq!(db.query("todo", "/list/item/@state").unwrap(), ["archived"]);
     }
 
     #[test]
     fn revalidate_after_schema_conforming_updates() {
         let mut db = db();
-        db.update_insert_element("todo", "/list", "item", Some("x")).unwrap();
+        update(&mut db, "insert node <item>x</item> into /list");
         assert!(db.revalidate("todo").unwrap().is_empty());
     }
 
     #[test]
     fn revalidate_detects_schema_violations_introduced_by_updates() {
         let mut db = db();
-        // <list> allows only <item> children; inject a rogue element.
-        db.update_insert_element("todo", "/list", "rogue", None).unwrap();
+        // <list> allows only <item> children: the checked path refuses
+        // a rogue element before touching the tree…
+        let err = db.execute_update("todo", "insert node <rogue/> into /list").unwrap_err();
+        assert!(matches!(err, DbError::UpdateStaticallyInvalid(_)), "{err:?}");
+        assert!(db.revalidate("todo").unwrap().is_empty());
+        // …and revalidation catches the same edit made by the raw
+        // structural applier, which checks nothing.
+        let list = xpath::parse("/list").unwrap();
+        db.insert_into_raw("todo", &list, "rogue", None).unwrap();
         let errs = db.revalidate("todo").unwrap();
         assert!(errs.iter().any(|e| e.rule == algebra::Rule::R5423GroupMatch), "{errs:?}");
     }
@@ -1925,10 +1839,9 @@ mod update_tests {
     fn updates_touch_many_nodes_at_once() {
         let mut db = db();
         for i in 0..5 {
-            db.update_insert_element("todo", "/list", "item", Some(&format!("t{i}"))).unwrap();
+            update(&mut db, &format!("insert node <item>t{i}</item> into /list"));
         }
-        let n = db.update_set_attribute("todo", "/list/item", "state", "bulk").unwrap();
-        assert_eq!(n, 6);
+        assert_eq!(update(&mut db, r#"insert attribute state="bulk" into /list/item"#), 6);
         assert_eq!(db.query("todo", "/list/item[@state='bulk']").unwrap().len(), 6);
     }
 
@@ -1936,9 +1849,9 @@ mod update_tests {
     fn storage_invariants_hold_after_update_batches() {
         let mut db = db();
         for i in 0..30 {
-            db.update_insert_element("todo", "/list", "item", Some(&format!("v{i}"))).unwrap();
+            update(&mut db, &format!("insert node <item>v{i}</item> into /list"));
         }
-        db.update_delete("todo", "/list/item[2]").unwrap();
+        update(&mut db, "delete node /list/item[2]");
         let storage = db.document("todo").unwrap().storage().unwrap();
         assert_eq!(storage.check_invariants(), None);
         assert_eq!(storage.relabel_count(), 0);
@@ -1966,8 +1879,8 @@ mod set_text_tests {
         )
         .unwrap();
         db.insert("d", "s", "<r><v>old1</v><v>old2</v></r>").unwrap();
-        let n = db.update_set_text("d", "/r/v", "new").unwrap();
-        assert_eq!(n, 2);
+        let out = db.execute_update("d", r#"replace value of node /r/v with "new""#).unwrap();
+        assert_eq!(out.nodes, 2);
         assert_eq!(db.query("d", "/r/v").unwrap(), ["new", "new"]);
         assert!(db.revalidate("d").unwrap().is_empty());
         let storage = db.document("d").unwrap().storage().unwrap();
@@ -2142,13 +2055,16 @@ mod guarded_update_tests {
     #[test]
     fn guarded_sibling_inserts_and_replacement() {
         let mut db = log_db();
-        let out = db.update_insert_before("d", "/log/entry[2]", "entry", Some("mid")).unwrap();
+        let out = db.execute_update("d", "insert node <entry>mid</entry> before /log/entry[2]");
+        let out = out.unwrap();
         assert_eq!(out.verdict, UpdateVerdict::Accept);
         assert_eq!(db.query("d", "/log/entry").unwrap(), ["first", "mid", "second"]);
-        let out = db.update_insert_after("d", "/log/entry[3]", "entry", Some("last")).unwrap();
+        let out = db.execute_update("d", "insert node <entry>last</entry> after /log/entry[3]");
+        let out = out.unwrap();
         assert_eq!(out.verdict, UpdateVerdict::Accept);
         assert_eq!(db.query("d", "/log/entry").unwrap(), ["first", "mid", "second", "last"]);
-        let out = db.update_replace_node("d", "/log/entry[1]", "entry", Some("zero")).unwrap();
+        let out = db.execute_update("d", "replace node /log/entry[1] with <entry>zero</entry>");
+        let out = out.unwrap();
         assert_eq!(out.verdict, UpdateVerdict::Accept);
         assert_eq!(db.query("d", "/log/entry").unwrap(), ["zero", "mid", "second", "last"]);
         let storage = db.document("d").unwrap().storage().unwrap();

@@ -69,6 +69,17 @@ pub enum DbError {
     },
     /// A persisted database directory is structurally broken.
     Corrupt(String),
+    /// A write-ahead-log record of a retired node-level update (tag
+    /// 5–11) has no XQuery-Update-lite form, so it cannot be replayed
+    /// through the checked update path.
+    RetiredRecord {
+        /// The record's tag byte.
+        tag: u8,
+        /// The document the record edits.
+        doc: String,
+        /// The closest update text, which does not parse back.
+        update: String,
+    },
 }
 
 impl DbError {
@@ -164,6 +175,11 @@ impl fmt::Display for DbError {
                 path.display()
             ),
             DbError::Corrupt(what) => write!(f, "corrupt database directory: {what}"),
+            DbError::RetiredRecord { tag, doc, update } => write!(
+                f,
+                "retired update record (tag {tag}) on {doc:?} has no XQuery-Update-lite form: \
+                 {update:?}"
+            ),
         }
     }
 }

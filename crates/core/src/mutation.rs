@@ -48,83 +48,10 @@ pub enum Mutation {
         /// Document name.
         doc: String,
     },
-    /// Append a child element under every node selected by an XPath.
-    UpdateInsert {
-        /// Document name.
-        doc: String,
-        /// XPath selecting the parents.
-        parent: String,
-        /// Name of the new element.
-        name: String,
-        /// Optional text content of the new element.
-        text: Option<String>,
-    },
-    /// Delete every node (subtree included) selected by an XPath.
-    UpdateDelete {
-        /// Document name.
-        doc: String,
-        /// XPath selecting the victims.
-        xpath: String,
-    },
-    /// Set an attribute on every element selected by an XPath.
-    UpdateSetAttr {
-        /// Document name.
-        doc: String,
-        /// XPath selecting the elements.
-        xpath: String,
-        /// Attribute name.
-        attr: String,
-        /// Attribute value.
-        value: String,
-    },
-    /// Replace the text content of every element selected by an XPath.
-    UpdateSetText {
-        /// Document name.
-        doc: String,
-        /// XPath selecting the elements.
-        xpath: String,
-        /// The replacement text.
-        value: String,
-    },
-    /// Insert a sibling element immediately before every element
-    /// selected by an XPath (statically type-checked before it runs).
-    UpdateInsertBefore {
-        /// Document name.
-        doc: String,
-        /// XPath selecting the anchor elements.
-        target: String,
-        /// Name of the new element.
-        name: String,
-        /// Optional text content of the new element.
-        text: Option<String>,
-    },
-    /// Insert a sibling element immediately after every element
-    /// selected by an XPath (statically type-checked before it runs).
-    UpdateInsertAfter {
-        /// Document name.
-        doc: String,
-        /// XPath selecting the anchor elements.
-        target: String,
-        /// Name of the new element.
-        name: String,
-        /// Optional text content of the new element.
-        text: Option<String>,
-    },
-    /// Replace every element selected by an XPath with a fresh leaf
-    /// element, in place (statically type-checked before it runs).
-    UpdateReplaceNode {
-        /// Document name.
-        doc: String,
-        /// XPath selecting the victims.
-        target: String,
-        /// Name of the replacement element.
-        name: String,
-        /// Optional text content of the replacement.
-        text: Option<String>,
-    },
     /// Parse and run one XQuery-Update-lite expression (`insert node …
     /// into …`, `delete node …`, `replace value of node … with …`, …)
-    /// under the static type-check.
+    /// under the static type-check — the only way to edit a stored
+    /// document.
     Update {
         /// Document name.
         doc: String,
@@ -144,8 +71,6 @@ pub enum ApplyOutcome {
     Inserted,
     /// A document deletion; `true` when the document existed.
     Deleted(bool),
-    /// A node-level update touched this many nodes.
-    Updated(usize),
     /// A statically type-checked update ran; the outcome carries the
     /// verdict it ran under and how much revalidation it cost.
     UpdatedChecked(crate::database::UpdateOutcome),
@@ -155,28 +80,21 @@ const TAG_REGISTER_SCHEMA: u8 = 1;
 const TAG_REMOVE_SCHEMA: u8 = 2;
 const TAG_INSERT: u8 = 3;
 const TAG_DELETE: u8 = 4;
-const TAG_UPDATE_INSERT: u8 = 5;
-const TAG_UPDATE_DELETE: u8 = 6;
-const TAG_UPDATE_SET_ATTR: u8 = 7;
-const TAG_UPDATE_SET_TEXT: u8 = 8;
-const TAG_UPDATE_INSERT_BEFORE: u8 = 9;
-const TAG_UPDATE_INSERT_AFTER: u8 = 10;
-const TAG_UPDATE_REPLACE_NODE: u8 = 11;
+// Tags 5–11 are retired node-level updates. Logs written before their
+// removal still hold them; each decodes to its checked
+// XQuery-Update-lite equivalent ([`decode_retired`]).
+const TAG_RETIRED_INSERT_INTO: u8 = 5;
+const TAG_RETIRED_DELETE: u8 = 6;
+const TAG_RETIRED_SET_ATTR: u8 = 7;
+const TAG_RETIRED_SET_TEXT: u8 = 8;
+const TAG_RETIRED_INSERT_BEFORE: u8 = 9;
+const TAG_RETIRED_INSERT_AFTER: u8 = 10;
+const TAG_RETIRED_REPLACE_NODE: u8 = 11;
 const TAG_UPDATE: u8 = 12;
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
-}
-
-fn put_opt(out: &mut Vec<u8>, s: Option<&str>) {
-    match s {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            put_str(out, s);
-        }
-    }
 }
 
 struct Cursor<'a> {
@@ -248,52 +166,6 @@ impl Mutation {
                 out.push(TAG_DELETE);
                 put_str(&mut out, doc);
             }
-            Mutation::UpdateInsert { doc, parent, name, text } => {
-                out.push(TAG_UPDATE_INSERT);
-                put_str(&mut out, doc);
-                put_str(&mut out, parent);
-                put_str(&mut out, name);
-                put_opt(&mut out, text.as_deref());
-            }
-            Mutation::UpdateDelete { doc, xpath } => {
-                out.push(TAG_UPDATE_DELETE);
-                put_str(&mut out, doc);
-                put_str(&mut out, xpath);
-            }
-            Mutation::UpdateSetAttr { doc, xpath, attr, value } => {
-                out.push(TAG_UPDATE_SET_ATTR);
-                put_str(&mut out, doc);
-                put_str(&mut out, xpath);
-                put_str(&mut out, attr);
-                put_str(&mut out, value);
-            }
-            Mutation::UpdateSetText { doc, xpath, value } => {
-                out.push(TAG_UPDATE_SET_TEXT);
-                put_str(&mut out, doc);
-                put_str(&mut out, xpath);
-                put_str(&mut out, value);
-            }
-            Mutation::UpdateInsertBefore { doc, target, name, text } => {
-                out.push(TAG_UPDATE_INSERT_BEFORE);
-                put_str(&mut out, doc);
-                put_str(&mut out, target);
-                put_str(&mut out, name);
-                put_opt(&mut out, text.as_deref());
-            }
-            Mutation::UpdateInsertAfter { doc, target, name, text } => {
-                out.push(TAG_UPDATE_INSERT_AFTER);
-                put_str(&mut out, doc);
-                put_str(&mut out, target);
-                put_str(&mut out, name);
-                put_opt(&mut out, text.as_deref());
-            }
-            Mutation::UpdateReplaceNode { doc, target, name, text } => {
-                out.push(TAG_UPDATE_REPLACE_NODE);
-                put_str(&mut out, doc);
-                put_str(&mut out, target);
-                put_str(&mut out, name);
-                put_opt(&mut out, text.as_deref());
-            }
             Mutation::Update { doc, update } => {
                 out.push(TAG_UPDATE);
                 put_str(&mut out, doc);
@@ -303,9 +175,14 @@ impl Mutation {
         out
     }
 
-    /// Decode a payload written by [`Mutation::encode`]. Any deviation
-    /// — unknown tag, truncated field, trailing bytes, non-UTF-8 — is a
-    /// typed [`DbError::Corrupt`], never a panic.
+    /// Decode a payload written by [`Mutation::encode`], or a retired
+    /// node-level update record (tags 5–11) as its checked
+    /// [`Mutation::Update`] equivalent. Any deviation — unknown tag,
+    /// truncated field, trailing bytes, non-UTF-8 — is a typed
+    /// [`DbError::Corrupt`], never a panic. A retired record whose
+    /// path does not parse decodes to a `delete node` of that path,
+    /// which the checked path refuses as the original call was refused.
+    /// One with no XQuery-Update-lite form is [`DbError::RetiredRecord`].
     pub fn decode(payload: &[u8]) -> Result<Mutation, DbError> {
         let mut c = Cursor { buf: payload, pos: 0 };
         let m = match c.u8()? {
@@ -313,41 +190,10 @@ impl Mutation {
             TAG_REMOVE_SCHEMA => Mutation::RemoveSchema { name: c.str()? },
             TAG_INSERT => Mutation::Insert { doc: c.str()?, schema: c.str()?, xml: c.str()? },
             TAG_DELETE => Mutation::Delete { doc: c.str()? },
-            TAG_UPDATE_INSERT => Mutation::UpdateInsert {
-                doc: c.str()?,
-                parent: c.str()?,
-                name: c.str()?,
-                text: c.opt()?,
-            },
-            TAG_UPDATE_DELETE => Mutation::UpdateDelete { doc: c.str()?, xpath: c.str()? },
-            TAG_UPDATE_SET_ATTR => Mutation::UpdateSetAttr {
-                doc: c.str()?,
-                xpath: c.str()?,
-                attr: c.str()?,
-                value: c.str()?,
-            },
-            TAG_UPDATE_SET_TEXT => {
-                Mutation::UpdateSetText { doc: c.str()?, xpath: c.str()?, value: c.str()? }
-            }
-            TAG_UPDATE_INSERT_BEFORE => Mutation::UpdateInsertBefore {
-                doc: c.str()?,
-                target: c.str()?,
-                name: c.str()?,
-                text: c.opt()?,
-            },
-            TAG_UPDATE_INSERT_AFTER => Mutation::UpdateInsertAfter {
-                doc: c.str()?,
-                target: c.str()?,
-                name: c.str()?,
-                text: c.opt()?,
-            },
-            TAG_UPDATE_REPLACE_NODE => Mutation::UpdateReplaceNode {
-                doc: c.str()?,
-                target: c.str()?,
-                name: c.str()?,
-                text: c.opt()?,
-            },
             TAG_UPDATE => Mutation::Update { doc: c.str()?, update: c.str()? },
+            tag @ TAG_RETIRED_INSERT_INTO..=TAG_RETIRED_REPLACE_NODE => {
+                return decode_retired(tag, c);
+            }
             tag => {
                 return Err(DbError::Corrupt(format!("unknown mutation tag {tag}")));
             }
@@ -364,14 +210,7 @@ impl Mutation {
     /// instead.
     pub fn doc_name(&self) -> Option<&str> {
         match self {
-            Mutation::UpdateInsert { doc, .. }
-            | Mutation::UpdateDelete { doc, .. }
-            | Mutation::UpdateSetAttr { doc, .. }
-            | Mutation::UpdateSetText { doc, .. }
-            | Mutation::UpdateInsertBefore { doc, .. }
-            | Mutation::UpdateInsertAfter { doc, .. }
-            | Mutation::UpdateReplaceNode { doc, .. }
-            | Mutation::Update { doc, .. } => Some(doc),
+            Mutation::Update { doc, .. } => Some(doc),
             _ => None,
         }
     }
@@ -406,45 +245,9 @@ impl Mutation {
                 Ok(ApplyOutcome::Inserted)
             }
             Mutation::Delete { doc } => Ok(ApplyOutcome::Deleted(db.delete(doc))),
-            Mutation::UpdateInsert { doc, parent, name, text } => Ok(ApplyOutcome::Updated(
-                db.update_insert_element(doc, parent, name, text.as_deref())?,
-            )),
-            Mutation::UpdateDelete { doc, xpath } => {
-                Ok(ApplyOutcome::Updated(db.update_delete(doc, xpath)?))
-            }
-            Mutation::UpdateSetAttr { doc, xpath, attr, value } => {
-                Ok(ApplyOutcome::Updated(db.update_set_attribute(doc, xpath, attr, value)?))
-            }
-            Mutation::UpdateSetText { doc, xpath, value } => {
-                Ok(ApplyOutcome::Updated(db.update_set_text(doc, xpath, value)?))
-            }
-            // The guarded operations run the static type-check inside
-            // the database call; a static rejection is a deterministic
-            // no-op, so replay skips it like any other rejection.
-            Mutation::UpdateInsertBefore { doc, target, name, text } => {
-                Ok(ApplyOutcome::UpdatedChecked(db.update_insert_before(
-                    doc,
-                    target,
-                    name,
-                    text.as_deref(),
-                )?))
-            }
-            Mutation::UpdateInsertAfter { doc, target, name, text } => {
-                Ok(ApplyOutcome::UpdatedChecked(db.update_insert_after(
-                    doc,
-                    target,
-                    name,
-                    text.as_deref(),
-                )?))
-            }
-            Mutation::UpdateReplaceNode { doc, target, name, text } => {
-                Ok(ApplyOutcome::UpdatedChecked(db.update_replace_node(
-                    doc,
-                    target,
-                    name,
-                    text.as_deref(),
-                )?))
-            }
+            // The static type-check runs inside the database call; a
+            // static rejection is a deterministic no-op, so replay
+            // skips it like any other rejection.
             Mutation::Update { doc, update } => {
                 Ok(ApplyOutcome::UpdatedChecked(db.execute_update(doc, update)?))
             }
@@ -452,11 +255,66 @@ impl Mutation {
     }
 }
 
+/// Read the fields of a retired node-level update record (tag 5–11)
+/// and convert it to its checked equivalent.
+///
+/// The conversion prints the [`xquery::UpdateExpr`] the record stands
+/// for and keeps the text only if it parses back to that expression:
+/// an element name the update parser does not read (a prefixed name,
+/// say) or element text holding `<` has no XQuery-Update-lite form and
+/// is a [`DbError::RetiredRecord`], which recovery surfaces rather
+/// than skips — the record may have taken effect when it was written.
+fn decode_retired(tag: u8, mut c: Cursor<'_>) -> Result<Mutation, DbError> {
+    use xquery::UpdateExpr as U;
+    let (doc, path) = (c.str()?, c.str()?);
+    // Field 3 is the element or attribute name (the value for
+    // set-text); field 4 the optional text (the value for set-attr).
+    let (name, text) = match tag {
+        TAG_RETIRED_DELETE => (String::new(), None),
+        TAG_RETIRED_SET_TEXT => (c.str()?, None),
+        TAG_RETIRED_SET_ATTR => (c.str()?, Some(c.str()?)),
+        _ => (c.str()?, c.opt()?),
+    };
+    c.finish()?;
+    let Ok(target) = xpath::parse(&path) else {
+        // The original call was refused at this parse. As a delete the
+        // path is refused the same way, so replay skips the record like
+        // any rejection — provided the update parser refuses it too.
+        let update = format!("delete node {path}");
+        return match xquery::parse_update(&update) {
+            Err(_) => Ok(Mutation::Update { doc, update }),
+            Ok(_) => Err(DbError::RetiredRecord { tag, doc, update }),
+        };
+    };
+    let expr = match tag {
+        TAG_RETIRED_INSERT_INTO => U::InsertInto { name, text, target },
+        TAG_RETIRED_DELETE => U::Delete { target },
+        TAG_RETIRED_SET_ATTR => {
+            U::InsertAttribute { attr: name, value: text.unwrap_or_default(), target }
+        }
+        TAG_RETIRED_SET_TEXT => U::ReplaceValue { target, value: name },
+        TAG_RETIRED_INSERT_BEFORE => U::InsertBefore { name, text, target },
+        TAG_RETIRED_INSERT_AFTER => U::InsertAfter { name, text, target },
+        _ => U::ReplaceNode { target, name, text },
+    };
+    let update = expr.to_string();
+    match xquery::parse_update(&update) {
+        Ok(back) if back == expr => Ok(Mutation::Update { doc, update }),
+        _ => Err(DbError::RetiredRecord { tag, doc, update }),
+    }
+}
+
 /// Whether a replayed record's failure is a deterministic rejection
 /// (the mutation never took effect, first time and every time) rather
 /// than an environmental failure worth surfacing.
 pub(crate) fn is_deterministic_rejection(e: &DbError) -> bool {
-    !matches!(e, DbError::Io { .. } | DbError::Checksum { .. } | DbError::Corrupt(_))
+    !matches!(
+        e,
+        DbError::Io { .. }
+            | DbError::Checksum { .. }
+            | DbError::Corrupt(_)
+            | DbError::RetiredRecord { .. }
+    )
 }
 
 #[cfg(test)]
@@ -469,48 +327,99 @@ mod tests {
             Mutation::RemoveSchema { name: "s".into() },
             Mutation::Insert { doc: "d".into(), schema: "s".into(), xml: "<r/>".into() },
             Mutation::Delete { doc: "d".into() },
-            Mutation::UpdateInsert {
-                doc: "d".into(),
-                parent: "/r".into(),
-                name: "x".into(),
-                text: Some("t".into()),
-            },
-            Mutation::UpdateInsert {
-                doc: "d".into(),
-                parent: "/r".into(),
-                name: "x".into(),
-                text: None,
-            },
-            Mutation::UpdateDelete { doc: "d".into(), xpath: "/r/x".into() },
-            Mutation::UpdateSetAttr {
-                doc: "d".into(),
-                xpath: "/r".into(),
-                attr: "a".into(),
-                value: "v".into(),
-            },
-            Mutation::UpdateSetText {
-                doc: "☂ doc".into(), xpath: "/r".into(), value: "ü".into()
-            },
-            Mutation::UpdateInsertBefore {
-                doc: "d".into(),
-                target: "/r/x".into(),
-                name: "y".into(),
-                text: Some("t".into()),
-            },
-            Mutation::UpdateInsertAfter {
-                doc: "d".into(),
-                target: "/r/x".into(),
-                name: "y".into(),
-                text: None,
-            },
-            Mutation::UpdateReplaceNode {
-                doc: "d".into(),
-                target: "/r/x".into(),
-                name: "x".into(),
-                text: Some("v".into()),
-            },
             Mutation::Update { doc: "d".into(), update: "insert node <x>t</x> into /r".into() },
+            Mutation::Update {
+                doc: "☂ doc".into(),
+                update: "replace value of node /r with \"ü\"".into(),
+            },
         ]
+    }
+
+    /// A retired record as the old encoder wrote it: the tag, then
+    /// length-prefixed fields.
+    fn retired(tag: u8, fields: &[&str]) -> Vec<u8> {
+        let mut out = vec![tag];
+        for f in fields {
+            put_str(&mut out, f);
+        }
+        out
+    }
+
+    /// [`retired`] plus the trailing optional text field (0, or 1 and
+    /// the field) of tags 5, 9, 10 and 11.
+    fn retired_opt(tag: u8, fields: &[&str], text: Option<&str>) -> Vec<u8> {
+        let mut out = retired(tag, fields);
+        match text {
+            None => out.push(0),
+            Some(t) => {
+                out.push(1);
+                put_str(&mut out, t);
+            }
+        }
+        out
+    }
+
+    fn update(doc: &str, text: &str) -> Mutation {
+        Mutation::Update { doc: doc.into(), update: text.into() }
+    }
+
+    #[test]
+    fn retired_tags_decode_to_their_checked_equivalents() {
+        let cases: Vec<(Vec<u8>, Mutation)> = vec![
+            (
+                retired_opt(5, &["d", "/r", "x"], Some("t")),
+                update("d", "insert node <x>t</x> into /r"),
+            ),
+            (retired_opt(5, &["d", "/r", "x"], None), update("d", "insert node <x/> into /r")),
+            (retired(6, &["d", "/r/x"]), update("d", "delete node /r/x")),
+            (
+                retired(7, &["d", "/r", "a", "say \"v\""]),
+                update("d", r#"insert attribute a="say ""v""" into /r"#),
+            ),
+            (
+                retired(8, &["d", "/r/v", "ü"]),
+                update("d", r#"replace value of node /r/v with "ü""#),
+            ),
+            (
+                retired_opt(9, &["d", "/r/x", "y"], Some("t")),
+                update("d", "insert node <y>t</y> before /r/x"),
+            ),
+            (
+                retired_opt(10, &["d", "/r/x", "y"], None),
+                update("d", "insert node <y/> after /r/x"),
+            ),
+            (
+                retired_opt(11, &["d", "/r/x", "x"], Some("v")),
+                update("d", "replace node /r/x with <x>v</x>"),
+            ),
+        ];
+        for (bytes, want) in cases {
+            assert_eq!(Mutation::decode(&bytes).unwrap(), want, "tag {}", bytes[0]);
+        }
+    }
+
+    #[test]
+    fn retired_records_without_an_update_form_are_typed_errors() {
+        // A bad path was refused when first applied, and is again.
+        let bad_path = retired_opt(5, &["d", "/r[", "x"], None);
+        let m = Mutation::decode(&bad_path).unwrap();
+        assert_eq!(m, Mutation::Update { doc: "d".into(), update: "delete node /r[".into() });
+        let e = m.apply(&mut Database::new()).unwrap_err();
+        assert!(is_deterministic_rejection(&e), "{e:?}");
+        // Text holding `<`, or a prefixed name, has no update form.
+        for bytes in [
+            retired_opt(5, &["d", "/r", "x"], Some("a<b")),
+            retired_opt(11, &["d", "/r/x", "p:x"], None),
+        ] {
+            let e = Mutation::decode(&bytes).unwrap_err();
+            assert!(matches!(e, DbError::RetiredRecord { .. }), "{e:?}");
+            assert!(!is_deterministic_rejection(&e));
+        }
+        // Malformed fields stay corruption.
+        let mut trailing = retired(6, &["d", "/r"]);
+        trailing.push(0);
+        assert!(matches!(Mutation::decode(&trailing), Err(DbError::Corrupt(_))));
+        assert!(matches!(Mutation::decode(&[8, 1, 0]), Err(DbError::Corrupt(_))));
     }
 
     #[test]
@@ -543,7 +452,7 @@ mod tests {
 
     #[test]
     fn doc_scope_and_registry_classification() {
-        let update = Mutation::UpdateDelete { doc: "d".into(), xpath: "/r".into() };
+        let update = update("d", "delete node /r");
         assert_eq!(update.doc_name(), Some("d"));
         assert!(!update.changes_registry());
         let insert = Mutation::Insert { doc: "d".into(), schema: "s".into(), xml: "<r/>".into() };

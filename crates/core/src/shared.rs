@@ -19,9 +19,9 @@
 //!   write path: it encodes the [`Mutation`], appends it to the
 //!   write-ahead log, applies it, and publishes — so a crash at any
 //!   point recovers the complete old or complete new state of every
-//!   acknowledged commit. [`SharedDatabase::write`] remains as the
-//!   legacy escape hatch for direct, *unlogged* mutation (volatile
-//!   databases, tests); it republishes the epoch on guard drop.
+//!   acknowledged commit. It is the only write path: every state
+//!   transition is a [`Mutation`], and every document edit is a
+//!   statically checked [`Mutation::Update`].
 //!
 //! # Durability modes
 //!
@@ -49,13 +49,13 @@
 //! replays only the tail written since.
 //!
 //! Lock acquisition is instrumented: the time callers spend entering
-//! `read`/`write` is recorded into the `server.read_lock_wait_ns` /
+//! `read`/`apply` is recorded into the `server.read_lock_wait_ns` /
 //! `server.write_lock_wait_ns` histograms and the
 //! `server.lock_wait_high_water_ns` gauge, and the whole commit path
 //! into `wal.commit_ns`.
 //!
 //! ```
-//! use xsdb::{Database, SharedDatabase};
+//! use xsdb::{Database, Mutation, SharedDatabase};
 //!
 //! let mut db = Database::new();
 //! db.register_schema_text("greetings", r#"
@@ -70,14 +70,20 @@
 //!         // Readers evaluate against an immutable snapshot.
 //!         let _ = reader.read().document_names().count();
 //!     });
-//!     shared.write().insert("hello", "greetings", "<greeting>hi</greeting>").unwrap();
+//!     shared
+//!         .apply(&Mutation::Insert {
+//!             doc: "hello".into(),
+//!             schema: "greetings".into(),
+//!             xml: "<greeting>hi</greeting>".into(),
+//!         })
+//!         .unwrap();
 //! });
 //! assert_eq!(shared.read().query("hello", "/greeting").unwrap(), ["hi"]);
 //! ```
 
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use storage::Wal;
@@ -164,40 +170,6 @@ impl Deref for ReadSnapshot {
     }
 }
 
-/// Exclusive, *unlogged* access to the primary database, returned by
-/// [`SharedDatabase::write`]. Dropping the guard publishes the state
-/// as the new committed epoch. Mutations made through it bypass the
-/// write-ahead log — prefer [`SharedDatabase::apply`] on durable
-/// handles.
-#[derive(Debug)]
-pub struct WriteGuard<'a> {
-    db: MutexGuard<'a, Database>,
-    epoch: &'a Mutex<Arc<Database>>,
-}
-
-impl Deref for WriteGuard<'_> {
-    type Target = Database;
-
-    fn deref(&self) -> &Database {
-        &self.db
-    }
-}
-
-impl DerefMut for WriteGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Database {
-        &mut self.db
-    }
-}
-
-impl Drop for WriteGuard<'_> {
-    fn drop(&mut self) {
-        // Clone outside the epoch lock: readers must only ever wait
-        // for the pointer swap, never for the snapshot construction.
-        let next = Arc::new(self.db.snapshot());
-        *self.epoch.lock().unwrap_or_else(|p| p.into_inner()) = next;
-    }
-}
-
 impl SharedDatabase {
     /// Wrap a database for shared, **volatile** use (no write-ahead
     /// log). The handle records its lock-wait metrics into the
@@ -224,24 +196,30 @@ impl SharedDatabase {
         dir: impl AsRef<Path>,
         durability: Durability,
     ) -> Result<(SharedDatabase, LoadReport), DbError> {
-        SharedDatabase::open_durable_vfs(dir.as_ref(), durability, Arc::new(StdVfs))
+        SharedDatabase::open_durable_vfs(dir.as_ref(), durability, Arc::new(StdVfs), false)
     }
 
-    /// [`SharedDatabase::open_durable`] over an explicit [`Vfs`]
-    /// (fault injection and crash testing).
+    /// [`SharedDatabase::open_durable`] over an explicit [`Vfs`] (fault
+    /// injection and crash testing), with strict static analysis
+    /// ([`Database::with_strict_analysis`]) switched on or off *before*
+    /// the log replays — so a record strict analysis refused when it was
+    /// logged is refused again, rather than resurrected, on reopen.
     pub fn open_durable_vfs(
         dir: &Path,
         durability: Durability,
         vfs: Arc<dyn Vfs + Send + Sync>,
+        strict_analysis: bool,
     ) -> Result<(SharedDatabase, LoadReport), DbError> {
         let committed = vfs.exists(&dir.join("CURRENT")) || vfs.exists(&dir.join("manifest.xml"));
         let (mut db, report) = if committed {
             // load_dir_vfs replays the WAL tail internally, skipping
             // records already folded into each document's epoch.
-            Database::load_dir_vfs(dir, LoadPolicy::Strict, &*vfs)?
+            Database::load_dir_vfs(dir, LoadPolicy::Strict, &*vfs, strict_analysis)?
         } else {
             vfs.create_dir_all(dir).map_err(|e| DbError::io(dir, e))?;
-            (Database::new(), LoadReport::default())
+            let mut db = Database::new();
+            db.set_strict_analysis(strict_analysis);
+            (db, LoadReport::default())
         };
         let wal_dir = dir.join(WAL_SUBDIR);
         let (mut wal, records) = Wal::open(&*vfs, &wal_dir, storage::DEFAULT_ROTATE_BYTES)?;
@@ -287,17 +265,6 @@ impl SharedDatabase {
         ReadSnapshot { db }
     }
 
-    /// Acquire the exclusive writer lock for a direct, unlogged state
-    /// transition. The new state is published to readers when the
-    /// guard drops. On a durable handle prefer
-    /// [`SharedDatabase::apply`], which logs the mutation first.
-    pub fn write(&self) -> WriteGuard<'_> {
-        let start = self.lock_clock();
-        let db = self.inner.primary.lock().unwrap_or_else(|p| p.into_inner());
-        self.record_wait(xsobs::HistogramId::SrvWriteLockWait, start);
-        WriteGuard { db, epoch: &self.inner.epoch }
-    }
-
     /// Commit one mutation: append its record to the write-ahead log,
     /// make it as durable as the [`Durability`] mode promises, apply
     /// it to the primary, and publish the new epoch to readers.
@@ -334,8 +301,8 @@ impl SharedDatabase {
         if let Some(seq) = seq {
             db.note_wal_epoch(seq);
         }
-        // As in `WriteGuard::drop`: build the snapshot before taking
-        // the epoch lock, so readers wait only for a pointer swap.
+        // Build the snapshot before taking the epoch lock, so readers
+        // wait only for a pointer swap.
         let next = Arc::new(db.snapshot());
         *self.inner.epoch.lock().unwrap_or_else(|p| p.into_inner()) = next;
         drop(db);
@@ -442,20 +409,29 @@ mod tests {
         dir
     }
 
+    fn insert(doc: &str, xml: &str) -> Mutation {
+        Mutation::Insert { doc: doc.into(), schema: "s".into(), xml: xml.into() }
+    }
+
+    fn update(doc: &str, text: &str) -> Mutation {
+        Mutation::Update { doc: doc.into(), update: text.into() }
+    }
+
     #[test]
     fn clones_see_each_others_writes() {
         let a = shared();
         let b = a.clone();
-        a.write().insert("d", "s", "<n>x</n>").unwrap();
+        a.apply(&insert("d", "<n>x</n>")).unwrap();
         assert_eq!(b.read().query("d", "/n").unwrap(), ["x"]);
-        assert!(b.write().delete("d"));
+        let deleted = b.apply(&Mutation::Delete { doc: "d".into() }).unwrap();
+        assert_eq!(deleted, ApplyOutcome::Deleted(true));
         assert!(a.read().is_empty());
     }
 
     #[test]
     fn concurrent_readers_share_the_lock() {
         let sh = shared();
-        sh.write().insert("d", "s", "<n>x</n>").unwrap();
+        sh.apply(&insert("d", "<n>x</n>")).unwrap();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let sh = &sh;
@@ -473,7 +449,7 @@ mod tests {
         let db = Database::with_metrics_registry(Arc::new(xsobs::Registry::new()));
         let sh = SharedDatabase::new(db);
         drop(sh.read());
-        drop(sh.write());
+        sh.apply(&Mutation::Delete { doc: "absent".into() }).unwrap();
         let snap = sh.metrics();
         assert_eq!(snap.histogram(xsobs::HistogramId::SrvReadLockWait).count, 1);
         assert_eq!(snap.histogram(xsobs::HistogramId::SrvWriteLockWait).count, 1);
@@ -484,7 +460,7 @@ mod tests {
         let reg = Arc::new(xsobs::Registry::disabled());
         let sh = SharedDatabase::new(Database::with_metrics_registry(Arc::clone(&reg)));
         drop(sh.read());
-        drop(sh.write());
+        sh.apply(&Mutation::Delete { doc: "absent".into() }).unwrap();
         let snap = reg.snapshot();
         assert_eq!(snap.histogram(xsobs::HistogramId::SrvReadLockWait).count, 0);
         assert_eq!(snap.histogram(xsobs::HistogramId::SrvWriteLockWait).count, 0);
@@ -500,12 +476,7 @@ mod tests {
         })
         .unwrap();
         let snap = sh.read();
-        sh.apply(&Mutation::UpdateSetText {
-            doc: "d".into(),
-            xpath: "/n".into(),
-            value: "after".into(),
-        })
-        .unwrap();
+        sh.apply(&update("d", r#"replace value of node /n with "after""#)).unwrap();
         // The old snapshot still sees the old value; a new one sees
         // the new value.
         assert_eq!(snap.query("d", "/n").unwrap(), ["before"]);
@@ -570,12 +541,7 @@ mod tests {
         let leftover = storage::wal::replay(&StdVfs, &wal_dir).unwrap();
         assert!(leftover.is_empty(), "{leftover:?}");
         // …and post-checkpoint commits land in the fresh tail.
-        sh.apply(&Mutation::UpdateSetText {
-            doc: "d".into(),
-            xpath: "/n".into(),
-            value: "b".into(),
-        })
-        .unwrap();
+        sh.apply(&update("d", r#"replace value of node /n with "b""#)).unwrap();
         drop(sh);
         let (again, _) = SharedDatabase::open_durable(&dir, Durability::Fsync).unwrap();
         assert_eq!(again.read().query("d", "/n").unwrap(), ["b"]);
@@ -583,6 +549,49 @@ mod tests {
         drop(again);
         let (thrice, _) = SharedDatabase::open_durable(&dir, Durability::Fsync).unwrap();
         assert_eq!(thrice.read().query("d", "/n").unwrap(), ["b"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn strict_analysis_is_on_before_the_log_replays() {
+        // Ambiguous (UPA-violating): strict analysis refuses it.
+        const AMBIGUOUS: &str = r#"
+<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="doc">
+    <xs:complexType>
+      <xs:choice>
+        <xs:sequence>
+          <xs:element name="A" type="xs:string"/><xs:element name="B" type="xs:string"/>
+        </xs:sequence>
+        <xs:sequence>
+          <xs:element name="A" type="xs:string"/><xs:element name="C" type="xs:string"/>
+        </xs:sequence>
+      </xs:choice>
+    </xs:complexType>
+  </xs:element>
+</xs:schema>"#;
+        let dir = temp_dir("strict");
+        let open = || {
+            SharedDatabase::open_durable_vfs(&dir, Durability::Fsync, Arc::new(StdVfs), true)
+                .unwrap()
+                .0
+        };
+        let sh = open();
+        let refused =
+            sh.apply(&Mutation::RegisterSchema { name: "amb".into(), xsd: AMBIGUOUS.into() });
+        assert!(matches!(refused, Err(DbError::SchemaRejected(_))), "{refused:?}");
+        drop(sh);
+        // The refused record is in the log; replay refuses it again,
+        // both before and after a first checkpoint exists.
+        let sh = open();
+        assert_eq!(sh.read().schema_names().count(), 0);
+        assert!(sh.read().strict_analysis());
+        sh.checkpoint(&dir).unwrap();
+        let refused =
+            sh.apply(&Mutation::RegisterSchema { name: "amb".into(), xsd: AMBIGUOUS.into() });
+        assert!(refused.is_err());
+        drop(sh);
+        assert_eq!(open().read().schema_names().count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

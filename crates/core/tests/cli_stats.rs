@@ -26,7 +26,7 @@ fn stats_json_goes_to_stderr_and_is_wellformed() {
     assert!(!stdout.contains("schema_version"), "stats leaked to stdout:\n{stdout}");
 
     // stderr carries the JSON snapshot with the stable field schema.
-    assert!(stderr.contains("\"schema_version\": 1"), "missing schema_version:\n{stderr}");
+    assert!(stderr.contains("\"schema_version\": 2"), "missing schema_version:\n{stderr}");
     for family in ["parse.documents_total", "analysis.wellformed_ns", "db.insert_ns"] {
         assert!(stderr.contains(family), "stats missing {family}:\n{stderr}");
     }

@@ -20,6 +20,9 @@ use xsdb::{
     algebra, Database, DbError, Durability, FaultyVfs, Mutation, SharedDatabase, StdVfs, Vfs,
 };
 
+// `<log>` carries a `tag` attribute for the script's attribute update
+// to set. Declared attributes are required by default, so the root —
+// not the `<entry>`s the script appends — is the one that declares it.
 const SCHEMA_LOG: &str = r#"
 <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
   <xs:element name="log">
@@ -27,6 +30,7 @@ const SCHEMA_LOG: &str = r#"
       <xs:sequence>
         <xs:element name="entry" type="xs:string" minOccurs="0" maxOccurs="unbounded"/>
       </xs:sequence>
+      <xs:attribute name="tag" type="xs:string"/>
     </xs:complexType>
   </xs:element>
 </xs:schema>"#;
@@ -46,41 +50,31 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+fn update(doc: &str, update: &str) -> Mutation {
+    Mutation::Update { doc: doc.into(), update: update.into() }
+}
+
 /// The scripted workload: every loggable mutation kind, exercising
-/// both registry-level and node-level transitions.
+/// registry-level transitions and every shape of checked update.
 fn script() -> Vec<Mutation> {
     vec![
         Mutation::RegisterSchema { name: "log".into(), xsd: SCHEMA_LOG.into() },
         Mutation::Insert {
             doc: "journal".into(),
             schema: "log".into(),
-            xml: "<log><entry>one</entry><entry>two</entry></log>".into(),
+            xml: r#"<log tag="cold"><entry>one</entry><entry>two</entry></log>"#.into(),
         },
-        Mutation::UpdateSetText {
-            doc: "journal".into(),
-            xpath: "/log/entry[1]".into(),
-            value: "rewritten".into(),
-        },
+        update("journal", r#"replace value of node /log/entry[1] with "rewritten""#),
         Mutation::RegisterSchema { name: "notes".into(), xsd: SCHEMA_NOTE.into() },
         Mutation::Insert {
             doc: "memo".into(),
             schema: "notes".into(),
             xml: "<note>remember</note>".into(),
         },
-        Mutation::UpdateInsert {
-            doc: "journal".into(),
-            parent: "/log".into(),
-            name: "entry".into(),
-            text: Some("appended".into()),
-        },
-        Mutation::UpdateSetAttr {
-            doc: "journal".into(),
-            xpath: "/log/entry".into(),
-            attr: "tag".into(),
-            value: "hot".into(),
-        },
+        update("journal", "insert node <entry>appended</entry> into /log"),
+        update("journal", r#"insert attribute tag="hot" into /log"#),
         Mutation::Delete { doc: "memo".into() },
-        Mutation::UpdateDelete { doc: "journal".into(), xpath: "/log/entry[2]".into() },
+        update("journal", "delete node /log/entry[2]"),
     ]
 }
 
@@ -129,7 +123,7 @@ fn run_script(
     durability: Durability,
     stop_on_error: bool,
 ) -> usize {
-    let Ok((shared, _)) = SharedDatabase::open_durable_vfs(dir, durability, vfs) else {
+    let Ok((shared, _)) = SharedDatabase::open_durable_vfs(dir, durability, vfs, false) else {
         return 0;
     };
     let mut acked = 0;
@@ -223,7 +217,8 @@ fn fsync_failure_reports_not_durable_instead_of_acking() {
     for n in 0..total {
         let dir = temp_dir("fsync");
         let vfs: Arc<dyn Vfs + Send + Sync> = Arc::new(FaultyVfs::fsync_error_at(n));
-        let Ok((shared, _)) = SharedDatabase::open_durable_vfs(&dir, Durability::Fsync, vfs) else {
+        let Ok((shared, _)) = SharedDatabase::open_durable_vfs(&dir, Durability::Fsync, vfs, false)
+        else {
             let _ = fs::remove_dir_all(&dir);
             continue;
         };

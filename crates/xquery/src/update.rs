@@ -11,7 +11,13 @@
 //!          | 'replace' 'node' path 'with' element
 //!          | 'replace' 'value' 'of' 'node' path 'with' STRING
 //! element := '<' NAME '/>'  |  '<' NAME '>' text '</' NAME '>'
+//! STRING  := '"' ( [^"] | '""' )* '"'
 //! ```
+//!
+//! A `""` inside a string literal is one `"` (XQuery 1.0's
+//! EscapeQuot), and [`UpdateExpr`]'s `Display` writes it back that way,
+//! so every expression whose element text holds no `<` prints to text
+//! that parses back to the same expression.
 //!
 //! Inserted elements are leaf constructors — a name and optional text
 //! content — which is what keeps every update statically checkable:
@@ -125,7 +131,8 @@ impl fmt::Display for UpdateExpr {
                 write!(f, " after {target}")
             }
             UpdateExpr::InsertAttribute { attr, value, target } => {
-                write!(f, "insert attribute {attr}={value:?} into {target}")
+                let value = value.replace('"', "\"\"");
+                write!(f, "insert attribute {attr}=\"{value}\" into {target}")
             }
             UpdateExpr::Delete { target } => write!(f, "delete node {target}"),
             UpdateExpr::ReplaceNode { target, name, text } => {
@@ -133,7 +140,8 @@ impl fmt::Display for UpdateExpr {
                 elem(f, name, text)
             }
             UpdateExpr::ReplaceValue { target, value } => {
-                write!(f, "replace value of node {target} with {value:?}")
+                let value = value.replace('"', "\"\"");
+                write!(f, "replace value of node {target} with \"{value}\"")
             }
         }
     }
@@ -203,18 +211,29 @@ impl<'a> UpdateParser<'a> {
         Ok(name)
     }
 
-    /// A double-quoted string literal (no escapes, matching the FLWOR
-    /// parser's literals).
+    /// A double-quoted string literal; `""` inside it stands for one
+    /// `"` (XQuery 1.0's EscapeQuot).
     fn parse_string(&mut self) -> Result<String, XQueryError> {
         self.skip_ws();
-        let Some(r) = self.rest.strip_prefix('"') else {
+        let Some(mut r) = self.rest.strip_prefix('"') else {
             return Err(self.err("expected a string literal"));
         };
-        let Some(end) = r.find('"') else {
-            return Err(self.err("unterminated string literal"));
-        };
-        let s = r[..end].to_string();
-        self.rest = &r[end + 1..];
+        let mut s = String::new();
+        loop {
+            let Some(end) = r.find('"') else {
+                return Err(self.err("unterminated string literal"));
+            };
+            s.push_str(&r[..end]);
+            r = &r[end + 1..];
+            match r.strip_prefix('"') {
+                Some(rest) => {
+                    s.push('"');
+                    r = rest;
+                }
+                None => break,
+            }
+        }
+        self.rest = r;
         Ok(s)
     }
 
@@ -330,6 +349,7 @@ impl<'a> UpdateParser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn insert_into_with_text() {
@@ -401,6 +421,58 @@ mod tests {
             r#"insert attribute a="v" onto /x"#,
         ] {
             assert!(parse_update(bad).is_err(), "{bad:?} should not parse");
+        }
+    }
+
+    #[test]
+    fn doubled_quotes_escape_a_quote() {
+        let u = parse_update(r#"replace value of node /a with "say ""hi"" \n""#).unwrap();
+        match &u {
+            UpdateExpr::ReplaceValue { value, .. } => assert_eq!(value, r#"say "hi" \n"#),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(u.to_string(), r#"replace value of node /a with "say ""hi"" \n""#);
+        let a = parse_update(r#"insert attribute q="""" into /a"#).unwrap();
+        assert!(matches!(&a, UpdateExpr::InsertAttribute { value, .. } if value == "\""));
+        assert!(parse_update(r#"replace value of node /a with "open"""#).is_err());
+    }
+
+    const PATHS: [&str; 7] = [
+        "/lib",
+        "/lib/book",
+        "/lib/book[2]",
+        "//title",
+        "/lib/*",
+        r#"/lib/book[title = "with"]/year"#,
+        "/lib/book[last()]/@id",
+    ];
+
+    fn expr() -> impl Strategy<Value = UpdateExpr> {
+        let name = "[a-z][a-z0-9_.-]{0,6}";
+        // Element text: anything but `<`, which would open a nested
+        // constructor. Values: any printable ASCII, quotes included.
+        let text = (any::<bool>(), "[ -;=-~\n]{0,10}").prop_map(|(some, t)| some.then_some(t));
+        let value = "[ -~\n\t]{0,10}";
+        let target = (0..PATHS.len()).prop_map(|i| xpath::parse(PATHS[i]).unwrap());
+        (0u8..7, name, text, value, target).prop_map(|(kind, name, text, value, target)| match kind
+        {
+            0 => UpdateExpr::InsertInto { name, text, target },
+            1 => UpdateExpr::InsertBefore { name, text, target },
+            2 => UpdateExpr::InsertAfter { name, text, target },
+            3 => UpdateExpr::InsertAttribute { attr: name, value, target },
+            4 => UpdateExpr::Delete { target },
+            5 => UpdateExpr::ReplaceNode { target, name, text },
+            _ => UpdateExpr::ReplaceValue { target, value },
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn display_parses_back_to_the_same_expression(u in expr()) {
+            let text = u.to_string();
+            let back = parse_update(&text);
+            prop_assert!(back.as_ref() == Ok(&u), "{text:?} parsed to {back:?}");
         }
     }
 

@@ -38,9 +38,11 @@
 //! [`Snapshot::to_json`] renders every counter, gauge, and histogram
 //! under fixed dotted names in a fixed order. That rendering is a
 //! **semver-stable schema**: fields are added at the end of their
-//! family, never renamed or removed — `fixtures/obs/schema.json` pins
-//! it and `scripts/check.sh` diffs it like the lint corpus. Dashboards
-//! and tests may match on the field names.
+//! family; renaming or removing one bumps `schema_version` (version 2
+//! dropped the seven retired `server.op.update_*_total` counters) —
+//! `fixtures/obs/schema.json` pins it and `scripts/check.sh` diffs it
+//! like the lint corpus. Dashboards and tests may match on the field
+//! names.
 
 #![warn(missing_docs)]
 
@@ -127,14 +129,6 @@ pub enum CounterId {
     SrvOpQuery,
     /// `XQUERY` requests served.
     SrvOpXquery,
-    /// `UPDATE_INSERT` requests served.
-    SrvOpUpdateInsert,
-    /// `UPDATE_DELETE` requests served.
-    SrvOpUpdateDelete,
-    /// `UPDATE_SET_ATTR` requests served.
-    SrvOpUpdateSetAttr,
-    /// `UPDATE_SET_TEXT` requests served.
-    SrvOpUpdateSetText,
     /// `LIST` requests served.
     SrvOpList,
     /// `STATS` requests served.
@@ -171,12 +165,6 @@ pub enum CounterId {
     /// Nodes revalidated by post-update rechecks (one per affected
     /// content model).
     UpdateRevalidateNodes,
-    /// `UPDATE_INSERT_BEFORE` requests served.
-    SrvOpUpdateInsertBefore,
-    /// `UPDATE_INSERT_AFTER` requests served.
-    SrvOpUpdateInsertAfter,
-    /// `UPDATE_REPLACE_NODE` requests served.
-    SrvOpUpdateReplaceNode,
     /// `UPDATE` (textual XQuery-Update-lite) requests served.
     SrvOpUpdate,
     /// Queries routed through the cost-based planner.
@@ -209,7 +197,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in stable export order.
-    pub const ALL: [CounterId; 70] = [
+    pub const ALL: [CounterId; 63] = [
         CounterId::ParseDocuments,
         CounterId::ParseBytes,
         CounterId::ParseEntityExpansions,
@@ -245,10 +233,6 @@ impl CounterId {
         CounterId::SrvOpValidate,
         CounterId::SrvOpQuery,
         CounterId::SrvOpXquery,
-        CounterId::SrvOpUpdateInsert,
-        CounterId::SrvOpUpdateDelete,
-        CounterId::SrvOpUpdateSetAttr,
-        CounterId::SrvOpUpdateSetText,
         CounterId::SrvOpList,
         CounterId::SrvOpStats,
         CounterId::SrvOpSave,
@@ -266,9 +250,6 @@ impl CounterId {
         CounterId::UpdateRechecked,
         CounterId::UpdateRejected,
         CounterId::UpdateRevalidateNodes,
-        CounterId::SrvOpUpdateInsertBefore,
-        CounterId::SrvOpUpdateInsertAfter,
-        CounterId::SrvOpUpdateReplaceNode,
         CounterId::SrvOpUpdate,
         CounterId::PlanQueries,
         CounterId::PlanStepsGuided,
@@ -323,10 +304,6 @@ impl CounterId {
             CounterId::SrvOpValidate => "server.op.validate_total",
             CounterId::SrvOpQuery => "server.op.query_total",
             CounterId::SrvOpXquery => "server.op.xquery_total",
-            CounterId::SrvOpUpdateInsert => "server.op.update_insert_total",
-            CounterId::SrvOpUpdateDelete => "server.op.update_delete_total",
-            CounterId::SrvOpUpdateSetAttr => "server.op.update_set_attr_total",
-            CounterId::SrvOpUpdateSetText => "server.op.update_set_text_total",
             CounterId::SrvOpList => "server.op.list_total",
             CounterId::SrvOpStats => "server.op.stats_total",
             CounterId::SrvOpSave => "server.op.save_total",
@@ -344,9 +321,6 @@ impl CounterId {
             CounterId::UpdateRechecked => "analysis.update_recheck_total",
             CounterId::UpdateRejected => "analysis.update_reject_total",
             CounterId::UpdateRevalidateNodes => "analysis.update_revalidate_nodes_total",
-            CounterId::SrvOpUpdateInsertBefore => "server.op.update_insert_before_total",
-            CounterId::SrvOpUpdateInsertAfter => "server.op.update_insert_after_total",
-            CounterId::SrvOpUpdateReplaceNode => "server.op.update_replace_node_total",
             CounterId::SrvOpUpdate => "server.op.update_total",
             CounterId::PlanQueries => "plan.queries_total",
             CounterId::PlanStepsGuided => "plan.steps_guided_total",
@@ -817,8 +791,8 @@ impl Drop for Span<'_> {
 /// The accessors ([`Snapshot::counter`], [`Snapshot::max`],
 /// [`Snapshot::histogram`], [`Snapshot::slow_ops`]) and the field
 /// names rendered by [`Snapshot::to_json`] / [`Snapshot::to_text`]
-/// are **semver-stable**: existing names are never renamed or removed;
-/// new ones are only appended.
+/// are **semver-stable**: new names are only appended, and renaming or
+/// removing one bumps `schema_version`.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     enabled: bool,
@@ -859,7 +833,7 @@ impl Snapshot {
     /// fully deterministic document (`fixtures/obs/schema.json`).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(2048);
-        out.push_str("{\n  \"schema_version\": 1,\n");
+        out.push_str("{\n  \"schema_version\": 2,\n");
         out.push_str(&format!("  \"enabled\": {},\n", self.enabled));
         out.push_str("  \"counters\": {\n");
         for (i, id) in CounterId::ALL.iter().enumerate() {
@@ -1093,7 +1067,7 @@ mod tests {
     #[test]
     fn json_export_is_schema_stable_and_escapes_details() {
         let empty = Registry::new().snapshot().to_json();
-        assert!(empty.contains("\"schema_version\": 1"));
+        assert!(empty.contains("\"schema_version\": 2"));
         assert!(empty.contains("\"parse.documents_total\": 0"));
         assert!(empty.contains("\"db.insert_ns\""));
         assert!(empty.contains("\"slow_ops\": []"));

@@ -27,7 +27,9 @@
 //!   (default 30000): a started request frame must arrive in full
 //!   within it. Idle connections never time out.
 //! * `--strict-analysis` — reject schemas with static-analysis errors
-//!   at `PUT_SCHEMA` time (`Database::set_strict_analysis`).
+//!   at `PUT_SCHEMA` time (`Database::with_strict_analysis`). Set when
+//!   the database opens, before the write-ahead log replays, so a
+//!   schema it refused stays refused after a restart.
 //! * `--stats-json` — print the final metrics snapshot to stdout after
 //!   shutdown.
 //!
@@ -41,13 +43,14 @@
 //! `epoll_wait` return — there is no polling tick anywhere on the
 //! path.
 
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use xsdb::cli::out_line;
-use xsdb::{Database, Durability, SharedDatabase};
+use xsdb::{Database, Durability, SharedDatabase, StdVfs};
 use xsserver::{Server, ServerConfig, ShutdownRequester};
 
 struct Args {
@@ -155,16 +158,21 @@ fn install_signal_handlers() {
 fn run(args: &Args) -> Result<(), String> {
     let shared = match &args.dir {
         Some(dir) => {
-            let (shared, report) = SharedDatabase::open_durable(dir, args.durability)
-                .map_err(|e| format!("cannot open {dir}: {e}"))?;
+            let (shared, report) = SharedDatabase::open_durable_vfs(
+                Path::new(dir),
+                args.durability,
+                Arc::new(StdVfs),
+                args.strict_analysis,
+            )
+            .map_err(|e| format!("cannot open {dir}: {e}"))?;
             for warning in &report.warnings {
                 eprintln!("xsd-serve: {warning}");
             }
             shared
         }
+        None if args.strict_analysis => SharedDatabase::new(Database::with_strict_analysis()),
         None => SharedDatabase::new(Database::new()),
     };
-    shared.write().set_strict_analysis(args.strict_analysis);
     let config = ServerConfig {
         threads: args.threads,
         max_conns: args.max_conns,

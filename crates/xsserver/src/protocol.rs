@@ -73,7 +73,8 @@ pub fn max_payload_for(limits: &xsdb::xmlparse::ParseLimits) -> usize {
 }
 
 /// Request opcodes. The discriminants are the wire bytes and never
-/// change; new opcodes are only ever appended.
+/// change; new opcodes are only ever appended, and a retired byte is
+/// never reassigned (it answers `ERR_UNKNOWN_OPCODE`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Opcode {
@@ -94,17 +95,7 @@ pub enum Opcode {
     Query = 0x07,
     /// `[doc, flwor]` — evaluate a FLWOR query; returns one field.
     Xquery = 0x08,
-    /// `[doc, parent_xpath, name]` or `[doc, parent_xpath, name, text]`
-    /// — append an element under every selected parent.
-    UpdateInsert = 0x09,
-    /// `[doc, xpath]` — delete every selected node (subtrees included).
-    UpdateDelete = 0x0A,
-    /// `[doc, xpath, name, value]` — set an attribute on every
-    /// selected element.
-    UpdateSetAttr = 0x0B,
-    /// `[doc, xpath, value]` — replace the text content of every
-    /// selected element.
-    UpdateSetText = 0x0C,
+    // 0x09–0x0C: retired (unchecked node-level updates); unassigned.
     /// `[]` — list the catalog; returns `schema:<name>` and
     /// `doc:<name>` fields.
     List = 0x0D,
@@ -112,21 +103,12 @@ pub enum Opcode {
     Stats = 0x0E,
     /// `[]` — persist the database to the server's `--dir` now.
     Save = 0x0F,
-    /// `[doc, target_xpath, name]` or `[doc, target_xpath, name, text]`
-    /// — statically type-checked sibling insert before every selected
-    /// element.
-    UpdateInsertBefore = 0x10,
-    /// `[doc, target_xpath, name]` or `[doc, target_xpath, name, text]`
-    /// — statically type-checked sibling insert after every selected
-    /// element.
-    UpdateInsertAfter = 0x11,
-    /// `[doc, target_xpath, name]` or `[doc, target_xpath, name, text]`
-    /// — statically type-checked in-place replacement of every selected
-    /// element with a fresh leaf.
-    UpdateReplaceNode = 0x12,
+    // 0x10–0x12: retired (node-level sibling/replace updates, now
+    // `UPDATE` expressions); unassigned.
     /// `[doc, update_text]` — parse and run one XQuery-Update-lite
     /// expression under the static type-check; returns
-    /// `[verdict, nodes, revalidated]`.
+    /// `[verdict, nodes, revalidated]`. The only opcode that edits a
+    /// stored document.
     Update = 0x13,
     /// `[doc, xpath]` — plan, execute, and explain an XPath: one field
     /// holding the chosen per-step strategies with estimated vs. actual
@@ -136,7 +118,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// Every opcode, in wire-byte order.
-    pub const ALL: [Opcode; 20] = [
+    pub const ALL: [Opcode; 13] = [
         Opcode::Ping,
         Opcode::PutSchema,
         Opcode::DelSchema,
@@ -145,16 +127,9 @@ impl Opcode {
         Opcode::Validate,
         Opcode::Query,
         Opcode::Xquery,
-        Opcode::UpdateInsert,
-        Opcode::UpdateDelete,
-        Opcode::UpdateSetAttr,
-        Opcode::UpdateSetText,
         Opcode::List,
         Opcode::Stats,
         Opcode::Save,
-        Opcode::UpdateInsertBefore,
-        Opcode::UpdateInsertAfter,
-        Opcode::UpdateReplaceNode,
         Opcode::Update,
         Opcode::Explain,
     ];
@@ -175,16 +150,9 @@ impl Opcode {
             Opcode::Validate => "VALIDATE",
             Opcode::Query => "QUERY",
             Opcode::Xquery => "XQUERY",
-            Opcode::UpdateInsert => "UPDATE_INSERT",
-            Opcode::UpdateDelete => "UPDATE_DELETE",
-            Opcode::UpdateSetAttr => "UPDATE_SET_ATTR",
-            Opcode::UpdateSetText => "UPDATE_SET_TEXT",
             Opcode::List => "LIST",
             Opcode::Stats => "STATS",
             Opcode::Save => "SAVE",
-            Opcode::UpdateInsertBefore => "UPDATE_INSERT_BEFORE",
-            Opcode::UpdateInsertAfter => "UPDATE_INSERT_AFTER",
-            Opcode::UpdateReplaceNode => "UPDATE_REPLACE_NODE",
             Opcode::Update => "UPDATE",
             Opcode::Explain => "EXPLAIN",
         }
@@ -772,8 +740,9 @@ mod tests {
         // must fail here, not in production.
         assert_eq!(Opcode::Ping as u8, 0x01);
         assert_eq!(Opcode::Save as u8, 0x0F);
-        assert_eq!(Opcode::UpdateInsertBefore as u8, 0x10);
+        assert_eq!(Opcode::List as u8, 0x0D);
         assert_eq!(Opcode::Update as u8, 0x13);
+        assert_eq!(Opcode::Explain as u8, 0x14);
         assert_eq!(Status::Ok as u8, 0);
         assert_eq!(Status::QueryStaticallyEmpty as u8, 5);
         assert_eq!(Status::SchemaInUse as u8, 16);
@@ -785,6 +754,10 @@ mod tests {
         }
         for st in Status::ALL {
             assert_eq!(Status::from_u8(st as u8), Some(st));
+        }
+        // Retired bytes stay unassigned.
+        for retired in (0x09..=0x0C).chain(0x10..=0x12) {
+            assert_eq!(Opcode::from_u8(retired), None, "0x{retired:02x}");
         }
         assert_eq!(Opcode::from_u8(0x7f), None);
         assert_eq!(Status::from_u8(0x7f), None);

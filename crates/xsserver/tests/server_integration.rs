@@ -13,6 +13,9 @@ use xsserver::client::{Client, ClientError};
 use xsserver::protocol::{Opcode, Status, WIRE_VERSION};
 use xsserver::server::{Server, ServerConfig, ServerHandle};
 
+// `<list>` declares the `state` attribute the update tests set.
+// Declared attributes are required by default, so every stored list
+// carries one.
 const SCHEMA: &str = r#"
 <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
   <xs:element name="list">
@@ -20,11 +23,12 @@ const SCHEMA: &str = r#"
       <xs:sequence>
         <xs:element name="item" type="xs:string" minOccurs="0" maxOccurs="unbounded"/>
       </xs:sequence>
+      <xs:attribute name="state" type="xs:string"/>
     </xs:complexType>
   </xs:element>
 </xs:schema>"#;
 
-const DOC: &str = "<list><item>alpha</item><item>beta</item></list>";
+const DOC: &str = r#"<list state="old"><item>alpha</item><item>beta</item></list>"#;
 
 fn start(config: ServerConfig) -> (ServerHandle, String) {
     let shared = SharedDatabase::new(Database::new());
@@ -63,11 +67,13 @@ fn every_opcode_round_trips() {
     assert!(plan.starts_with("plan /list/item @ stats generation "), "{plan}");
     assert!(plan.contains("strategy=") && plan.contains("actual_rows="), "{plan}");
 
-    assert_eq!(c.update_insert("d", "/list", "item", Some("gamma")).expect("insert"), 1);
-    assert_eq!(c.update_set_attr("d", "/list", "state", "new").expect("set_attr"), 1);
-    assert_eq!(c.update_set_text("d", "/list/item[1]", "ALPHA").expect("set_text"), 1);
+    let mut update = |text: &str| c.update("d", text).expect(text).nodes;
+    assert_eq!(update("insert node <item>gamma</item> into /list"), 1);
+    assert_eq!(update(r#"insert attribute state="new" into /list"#), 1);
+    assert_eq!(update(r#"replace value of node /list/item[1] with "ALPHA""#), 1);
+    assert_eq!(c.query("d", "/list/@state").expect("query"), ["new"]);
     assert_eq!(c.query("d", "/list/item").expect("query"), ["ALPHA", "beta", "gamma"]);
-    assert_eq!(c.update_delete("d", "/list/item[2]").expect("delete"), 1);
+    assert_eq!(c.update("d", "delete node /list/item[2]").expect("delete").nodes, 1);
     assert_eq!(c.query("d", "/list/item").expect("query"), ["ALPHA", "gamma"]);
 
     let listing = c.list().expect("list");
@@ -102,13 +108,17 @@ fn guarded_update_opcodes_round_trip() {
     assert_eq!((r.verdict.as_str(), r.nodes, r.revalidated), ("accept", 1, 0));
     assert_eq!(c.query("d", "/list/item").expect("query"), ["alpha", "beta", "gamma"]);
 
-    // The structured statically-checked opcodes.
-    let r = c.update_insert_before("d", "/list/item[1]", "item", Some("zero")).expect("before");
+    // Sibling inserts and node replacement, statically checked.
+    let r = c.update("d", "insert node <item>zero</item> before /list/item[1]").expect("before");
     assert_eq!((r.verdict.as_str(), r.nodes), ("accept", 1));
-    let r = c.update_insert_after("d", "/list/item[4]", "item", Some("delta")).expect("after");
+    let r = c.update("d", "insert node <item>delta</item> after /list/item[4]").expect("after");
     assert_eq!((r.verdict.as_str(), r.nodes), ("accept", 1));
-    let r = c.update_replace_node("d", "/list/item[2]", "item", Some("ALPHA")).expect("replace");
+    let r = c.update("d", "replace node /list/item[2] with <item>ALPHA</item>").expect("replace");
     assert_eq!((r.verdict.as_str(), r.nodes), ("accept", 1));
+    // A value holding a quote is written with XQuery's doubled quote.
+    let r = c.update("d", r#"insert attribute state="say ""hi""" into /list"#).expect("quote");
+    assert_eq!(r.nodes, 1);
+    assert_eq!(c.query("d", "/list/@state").expect("query"), [r#"say "hi""#]);
     assert_eq!(
         c.query("d", "/list/item").expect("query"),
         ["zero", "ALPHA", "beta", "gamma", "delta"]
@@ -121,7 +131,7 @@ fn guarded_update_opcodes_round_trip() {
         Status::UpdateStaticallyInvalid,
     );
     expect_status(
-        c.update_replace_node("d", "/list/item[1]", "rogue", None),
+        c.update("d", "replace node /list/item[1] with <rogue/>"),
         Status::UpdateStaticallyInvalid,
     );
     assert_eq!(
@@ -129,19 +139,18 @@ fn guarded_update_opcodes_round_trip() {
         ["zero", "ALPHA", "beta", "gamma", "delta"]
     );
 
-    // The new per-opcode and analysis counters are published.
+    // The per-opcode and analysis counters are published; the retired
+    // opcodes' counters are gone.
     let stats = c.stats_json().expect("stats");
     for key in [
         "server.op.update_total",
-        "server.op.update_insert_before_total",
-        "server.op.update_insert_after_total",
-        "server.op.update_replace_node_total",
         "analysis.update_checks_total",
         "analysis.update_accept_total",
         "analysis.update_reject_total",
     ] {
         assert!(stats.contains(key), "{key} missing from {stats}");
     }
+    assert!(!stats.contains("server.op.update_insert_before_total"), "{stats}");
 
     handle.shutdown().expect("shutdown");
 }
@@ -177,9 +186,12 @@ fn results_are_byte_identical_to_in_process_calls() {
     assert_eq!(local, remote, "validation rendering diverged");
 
     // Updates produce identical states, observed through queries.
+    let append = "insert node <item>new</item> into /list";
+    let local = db.execute_update("d", append).unwrap();
+    let remote = c.update("d", append).unwrap();
     assert_eq!(
-        db.update_insert_element("d", "/list", "item", Some("new")).unwrap(),
-        c.update_insert("d", "/list", "item", Some("new")).unwrap()
+        (local.verdict.to_string(), local.nodes, local.revalidated),
+        (remote.verdict, remote.nodes, remote.revalidated)
     );
     assert_eq!(db.query("d", "/list/item").unwrap(), c.query("d", "/list/item").unwrap());
 
@@ -285,6 +297,12 @@ fn malformed_and_oversized_frames_are_rejected() {
     s.read_exact(&mut header).unwrap();
     assert_eq!(header[1], Status::Ok as u8, "connection must survive an unknown opcode");
 
+    // The retired node-level update opcodes are unassigned bytes now.
+    for retired in (0x09..=0x0C).chain(0x10..=0x12) {
+        let frame = raw_frame(WIRE_VERSION, retired, &fields_payload(&[b"d", b"/list"]));
+        assert_eq!(send_raw(&addr, &frame), Some(Status::UnknownOpcode as u8), "0x{retired:02x}");
+    }
+
     // Wrong arity for a known opcode: typed BadFrame response.
     let frame = raw_frame(WIRE_VERSION, Opcode::PutDoc as u8, &fields_payload(&[b"only-one"]));
     assert_eq!(send_raw(&addr, &frame), Some(Status::BadFrame as u8));
@@ -309,7 +327,7 @@ fn responses_with_more_fields_than_the_request_cap_decode() {
 
     let n = xsserver::protocol::MAX_REQUEST_FIELDS as usize + 36;
     let items: String = (0..n).map(|i| format!("<item>v{i}</item>")).collect();
-    c.put_doc("big", "s", &format!("<list>{items}</list>")).expect("put_doc");
+    c.put_doc("big", "s", &format!(r#"<list state="old">{items}</list>"#)).expect("put_doc");
     let values = c.query("big", "/list/item").expect("query matching >64 nodes");
     assert_eq!(values.len(), n);
     assert_eq!(values[0], "v0");
@@ -459,7 +477,7 @@ fn save_opcode_and_shutdown_flush_persist_state() {
 
     // More state after the explicit save; the shutdown flush must
     // capture it.
-    c.put_doc("d2", "s", "<list><item>late</item></list>").unwrap();
+    c.put_doc("d2", "s", r#"<list state="old"><item>late</item></list>"#).unwrap();
     drop(c);
     handle.shutdown().expect("shutdown");
     let reloaded = Database::load_dir(&dir).expect("load final save");
@@ -477,4 +495,62 @@ fn shutdown_unblocks_idle_connections() {
     handle.shutdown().expect("shutdown");
     assert!(started.elapsed() < Duration::from_secs(5), "shutdown blocked on an idle connection");
     drop(idle);
+}
+
+/// A running `xsd-serve` binary, killed (SIGKILL, no shutdown save)
+/// when dropped — also when an assertion fails first.
+struct Serve(std::process::Child);
+
+impl Drop for Serve {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Start the `xsd-serve` binary on an ephemeral port; returns it and
+/// the address from its startup line.
+fn spawn_serve(args: &[&str]) -> (Serve, String) {
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_xsd-serve"))
+        .args(["--addr", "127.0.0.1:0"])
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn xsd-serve");
+    let stdout = child.stdout.take().expect("stdout");
+    let serve = Serve(child);
+    let banner = std::io::BufReader::new(stdout).lines().next().expect("startup line");
+    let banner = banner.expect("read banner");
+    let addr = banner.strip_prefix("xsd-serve listening on ").expect("banner format").to_string();
+    (serve, addr)
+}
+
+/// A schema `--strict-analysis` refused stays refused after a crash:
+/// the refused `PUT_SCHEMA` was logged before it was applied, so the
+/// restart must replay the log with strict analysis already on.
+#[test]
+fn schema_refused_under_strict_analysis_stays_refused_after_restart() {
+    let dir = std::env::temp_dir().join(format!("xsd-serve-strict-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    let args = ["--dir", dir_arg, "--durability", "fsync", "--strict-analysis"];
+    let ambiguous = include_str!("../../../fixtures/lint/ambiguous.xsd");
+
+    let (serve, addr) = spawn_serve(&args);
+    let mut c = Client::connect(&addr).expect("connect");
+    expect_status(c.put_schema("amb", ambiguous), Status::SchemaRejected);
+    c.put_schema("s", SCHEMA).expect("put_schema");
+    assert_eq!(c.list().expect("list"), ["schema:s"]);
+    // Crash: no shutdown checkpoint, the log is all there is.
+    drop(serve);
+
+    let (serve, addr) = spawn_serve(&args);
+    let mut c = Client::connect(&addr).expect("connect");
+    assert_eq!(c.list().expect("list"), ["schema:s"], "a refused schema came back");
+    expect_status(c.put_schema("amb", ambiguous), Status::SchemaRejected);
+    drop(serve);
+    let _ = std::fs::remove_dir_all(&dir);
 }

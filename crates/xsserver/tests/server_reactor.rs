@@ -13,6 +13,9 @@ use xsserver::client::Client;
 use xsserver::protocol::{encode_frame, write_frame, Opcode, Status, HEADER_LEN, WIRE_VERSION};
 use xsserver::server::{Server, ServerConfig, ServerHandle};
 
+// `<list>` declares the `state` attribute the parity sequence sets.
+// Declared attributes are required by default, so every stored list
+// carries one.
 const SCHEMA: &str = r#"
 <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
   <xs:element name="list">
@@ -20,11 +23,12 @@ const SCHEMA: &str = r#"
       <xs:sequence>
         <xs:element name="item" type="xs:string" minOccurs="0" maxOccurs="unbounded"/>
       </xs:sequence>
+      <xs:attribute name="state" type="xs:string"/>
     </xs:complexType>
   </xs:element>
 </xs:schema>"#;
 
-const DOC: &str = "<list><item>alpha</item><item>beta</item></list>";
+const DOC: &str = r#"<list state="old"><item>alpha</item><item>beta</item></list>"#;
 
 fn start(config: ServerConfig) -> (ServerHandle, String) {
     let shared = SharedDatabase::new(Database::new());
@@ -34,7 +38,7 @@ fn start(config: ServerConfig) -> (ServerHandle, String) {
 }
 
 fn items_doc(items: usize) -> String {
-    let mut xml = String::from("<list>");
+    let mut xml = String::from(r#"<list state="old">"#);
     for i in 0..items {
         xml.push_str("<item>payload-");
         xml.push_str(&i.to_string());
@@ -253,14 +257,15 @@ fn pipelined_responses_are_byte_identical_to_lockstep() {
         (Opcode::Query, vec!["d", "/list/item"]),
         (Opcode::Xquery, vec!["d", xq]),
         (Opcode::Explain, vec!["d", "/list/item"]),
-        (Opcode::UpdateInsert, vec!["d", "/list", "item", "gamma"]),
-        (Opcode::UpdateSetAttr, vec!["d", "/list", "state", "new"]),
-        (Opcode::UpdateSetText, vec!["d", "/list/item[1]", "ALPHA"]),
-        (Opcode::UpdateDelete, vec!["d", "/list/item[2]"]),
+        (Opcode::Update, vec!["d", "insert node <item>gamma</item> into /list"]),
+        (Opcode::Update, vec!["d", r#"insert attribute state="new" into /list"#]),
+        (Opcode::Update, vec!["d", r#"replace value of node /list/item[1] with "ALPHA""#]),
+        (Opcode::Update, vec!["d", "delete node /list/item[2]"]),
         (Opcode::Update, vec!["d", update]),
-        (Opcode::UpdateInsertBefore, vec!["d", "/list/item[1]", "item", "zero"]),
-        (Opcode::UpdateInsertAfter, vec!["d", "/list/item[1]", "item", "half"]),
-        (Opcode::UpdateReplaceNode, vec!["d", "/list/item[2]", "item", "HALF"]),
+        (Opcode::Update, vec!["d", "insert node <item>zero</item> before /list/item[1]"]),
+        (Opcode::Update, vec!["d", "insert node <item>half</item> after /list/item[1]"]),
+        (Opcode::Update, vec!["d", "replace node /list/item[2] with <item>HALF</item>"]),
+        (Opcode::Update, vec!["d", "insert node <rogue/> into /list"]),
         (Opcode::Query, vec!["d", "/list/item"]),
         (Opcode::List, vec![]),
         (Opcode::Stats, vec![]),

@@ -21,6 +21,8 @@ cargo test -q -p xsdb-integration --test metrics_invariants
 cargo test -q -p xsdb-integration --test obs_export
 cargo test -q -p xsdb-integration --test generative_roundtrip
 cargo test -q -p xsdb-integration --test update_soundness
+cargo test -q -p xsdb-integration --test wire_soundness
+cargo test -q -p xsdb-integration --test legacy_wal
 # Query-planner suites: differential plan equivalence (every physical
 # strategy returns the naive evaluator's node-set) and catalog-stats
 # invariants (incremental maintenance == from-scratch rebuild).
@@ -32,6 +34,12 @@ cargo test -q -p xsserver --test server_reactor   # hostile-client torture + SIG
 cargo test -q -p xsserver --lib   # protocol + reactor + retry-policy regression tests
 cargo test -q -p xsdb-integration --test shared_stress
 cargo test -q -p xsdb --test broken_pipe
+# The thread-racing suites again, 20 times each: a race that fires in
+# one run out of a few must not pass the gate by luck.
+for _ in $(seq 1 20); do
+  cargo test -q -p xsdb-integration --test metrics_invariants
+  cargo test -q -p xsdb-integration --test shared_stress
+done
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 

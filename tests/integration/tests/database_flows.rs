@@ -1,16 +1,18 @@
 //! End-to-end database scenarios: several documents and schemas in one
-//! database, the full update → revalidate → persist → reload → query
-//! lifecycle — the "database evolving through states" of §6.1 exercised
+//! database, the full checked update → revalidate → persist → reload →
+//! query lifecycle — the "database evolving through states" of §6.1 exercised
 //! through the public façade only.
 
 use xsdb::{content_equal, Database, DbError, Document, LoadOptions};
 
+// `title` and `year` are optional so a book can be built up one
+// checked update at a time: every intermediate state is valid.
 const BOOKS_XSD: &str = r#"
 <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
   <xs:complexType name="Book">
     <xs:sequence>
-      <xs:element name="title" type="xs:string"/>
-      <xs:element name="year" type="xs:gYear"/>
+      <xs:element name="title" type="xs:string" minOccurs="0"/>
+      <xs:element name="year" type="xs:gYear" minOccurs="0"/>
     </xs:sequence>
   </xs:complexType>
   <xs:element name="books">
@@ -77,14 +79,21 @@ fn full_lifecycle_update_persist_reload() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut db = seeded();
-    // Update through the physical layer…
-    db.update_insert_element("shelf", "/books", "book", None).unwrap();
-    // …which leaves the new book empty → schema-invalid; revalidate says so.
-    assert!(!db.revalidate("shelf").unwrap().is_empty());
-    // Repair it with further updates.
-    db.update_insert_element("shelf", "/books/book[2]", "title", Some("Transaction Processing"))
-        .unwrap();
-    db.update_insert_element("shelf", "/books/book[2]", "year", Some("1993")).unwrap();
+    // An update that would break the schema is refused before it
+    // touches the document…
+    let err = db
+        .execute_update("shelf", r#"replace value of node /books/book/year with "MCMXCV""#)
+        .unwrap_err();
+    assert!(matches!(err, DbError::UpdateStaticallyInvalid(_)), "{err:?}");
+    assert!(db.revalidate("shelf").unwrap().is_empty());
+    // …while a new book is built up through valid states only.
+    db.execute_update("shelf", "insert node <book/> into /books").unwrap();
+    db.execute_update(
+        "shelf",
+        "insert node <title>Transaction Processing</title> into /books/book[2]",
+    )
+    .unwrap();
+    db.execute_update("shelf", "insert node <year>1993</year> into /books/book[2]").unwrap();
     assert!(db.revalidate("shelf").unwrap().is_empty());
 
     // Persist and reload (reload re-runs f on everything).
@@ -104,9 +113,9 @@ fn full_lifecycle_update_persist_reload() {
 #[test]
 fn xquery_and_xpath_see_the_same_database_state() {
     let mut db = seeded();
-    db.update_insert_element("shelf", "/books", "book", None).unwrap();
-    db.update_insert_element("shelf", "/books/book[2]", "title", Some("Zen")).unwrap();
-    db.update_insert_element("shelf", "/books/book[2]", "year", Some("2001")).unwrap();
+    db.execute_update("shelf", "insert node <book/> into /books").unwrap();
+    db.execute_update("shelf", "insert node <title>Zen</title> into /books/book[2]").unwrap();
+    db.execute_update("shelf", "insert node <year>2001</year> into /books/book[2]").unwrap();
     let via_xpath = db.query("shelf", "/books/book/title").unwrap();
     let via_xquery =
         db.xquery("shelf", "for $b in /books/book return <t>{$b/title/text()}</t>").unwrap();

@@ -1,11 +1,12 @@
 //! Stress tests for `SharedDatabase`: many reader threads interleaved
 //! with writers over one shared handle, asserting that every reader
 //! observes a consistent snapshot (never a torn state) and that the
-//! lock-wait instrumentation records traffic.
+//! lock-wait instrumentation records traffic. Every write goes through
+//! `SharedDatabase::apply`, the one write path.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use xsdb::{Database, DbError, Durability, Mutation, SharedDatabase};
+use xsdb::{ApplyOutcome, Database, DbError, Durability, Mutation, SharedDatabase};
 
 const SCHEMA: &str = r#"
 <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
@@ -24,6 +25,14 @@ fn shared() -> SharedDatabase {
     SharedDatabase::new(db)
 }
 
+fn insert(name: &str, xml: String) -> Mutation {
+    Mutation::Insert { doc: name.into(), schema: "s".into(), xml }
+}
+
+fn update(update: String) -> Mutation {
+    Mutation::Update { doc: "d".into(), update }
+}
+
 fn doc(items: usize, tag: &str) -> String {
     let mut xml = String::from("<list>");
     for i in 0..items {
@@ -33,14 +42,14 @@ fn doc(items: usize, tag: &str) -> String {
     xml
 }
 
-/// Readers hammer queries while writers insert/delete/update. Every
-/// query result must be one of the states a writer actually produced —
-/// in particular, the item count of a document must always match one
-/// whole write, never a mixture.
+/// Readers hammer queries while writers rewrite every item of the
+/// document in one checked update. Every query result must be one of
+/// the states a writer actually produced — the item count never moves
+/// and all items carry the value of one whole write, never a mixture.
 #[test]
 fn readers_see_only_whole_states() {
     let sh = shared();
-    sh.write().insert("d", "s", &doc(10, "v0")).unwrap();
+    sh.apply(&insert("d", doc(10, "v0"))).unwrap();
     let torn = AtomicUsize::new(0);
     let reads = AtomicUsize::new(0);
     std::thread::scope(|s| {
@@ -62,29 +71,28 @@ fn readers_see_only_whole_states() {
                     }
                     let values = sh.read().query("d", "/list/item").unwrap();
                     reads.fetch_add(1, Ordering::Relaxed);
-                    // Writers only ever install whole documents of 10
-                    // or 25 items; a torn read would show otherwise.
-                    if values.len() != 10 && values.len() != 25 {
+                    // Writers only ever rewrite the 10 items in place;
+                    // a torn read would show otherwise.
+                    if values.len() != 10 {
                         torn.fetch_add(1, Ordering::Relaxed);
                     }
-                    // All items of one read come from the same write.
-                    let tags: std::collections::BTreeSet<&str> =
-                        values.iter().filter_map(|v| v.split('-').next()).collect();
-                    if tags.len() > 1 {
+                    // All items of one read come from the same write:
+                    // the seed's `v0-<i>`, or one writer's single value.
+                    let seed = values.iter().all(|v| v.starts_with("v0-"));
+                    let one_write = values.windows(2).all(|w| w[0] == w[1]);
+                    if !(seed || one_write) {
                         torn.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             });
         }
-        // 2 writers alternating whole-document replacements.
+        // 2 writers, each commit rewriting all 10 items at once.
         for w in 0..2 {
             let sh = sh.clone();
             s.spawn(move || {
                 for i in 0..40 {
-                    let (n, tag) = if (i + w) % 2 == 0 { (10, "v0") } else { (25, "v1") };
-                    let mut db = sh.write();
-                    db.delete("d");
-                    db.insert("d", "s", &doc(n, tag)).unwrap();
+                    let m = update(format!(r#"replace value of node /list/item with "w{w}-{i}""#));
+                    sh.apply(&m).unwrap();
                 }
             });
         }
@@ -108,7 +116,7 @@ fn disjoint_writers_all_land() {
             s.spawn(move || {
                 for i in 0..20 {
                     let name = format!("doc-{t}-{i}");
-                    sh.write().insert(&name, "s", &doc(3, "x")).unwrap();
+                    sh.apply(&insert(&name, doc(3, "x"))).unwrap();
                 }
             });
         }
@@ -130,21 +138,22 @@ fn disjoint_writers_all_land() {
 fn remove_schema_races_with_deletes() {
     let sh = shared();
     for i in 0..50 {
-        sh.write().insert(&format!("d{i}"), "s", &doc(1, "x")).unwrap();
+        sh.apply(&insert(&format!("d{i}"), doc(1, "x"))).unwrap();
     }
     std::thread::scope(|s| {
         {
             let sh = sh.clone();
             s.spawn(move || {
                 for i in 0..50 {
-                    assert!(sh.write().delete(&format!("d{i}")));
+                    let deleted = sh.apply(&Mutation::Delete { doc: format!("d{i}") });
+                    assert_eq!(deleted.unwrap(), ApplyOutcome::Deleted(true));
                 }
             });
         }
         let sh = sh.clone();
         s.spawn(move || loop {
-            match sh.write().remove_schema("s") {
-                Ok(()) => break,
+            match sh.apply(&Mutation::RemoveSchema { name: "s".into() }) {
+                Ok(_) => break,
                 Err(DbError::SchemaInUse { schema, documents }) => {
                     assert_eq!(schema, "s");
                     assert!(!documents.is_empty());
@@ -165,15 +174,17 @@ fn remove_schema_races_with_deletes() {
 #[test]
 fn held_snapshots_stay_frozen_under_churn() {
     let sh = shared();
-    sh.write().insert("d", "s", &doc(10, "v0")).unwrap();
+    sh.apply(&insert("d", doc(10, "v0"))).unwrap();
     let pinned = sh.read();
     std::thread::scope(|s| {
         let writer = sh.clone();
         s.spawn(move || {
+            // Each round grows the document by one item and rewrites
+            // every item's value.
             for i in 0..60 {
-                let mut db = writer.write();
-                db.delete("d");
-                db.insert("d", "s", &doc(25, &format!("w{i}"))).unwrap();
+                writer.apply(&update(format!("insert node <item>w{i}</item> into /list"))).unwrap();
+                let rewrite = format!(r#"replace value of node /list/item with "w{i}-x""#);
+                writer.apply(&update(rewrite)).unwrap();
             }
         });
         for _ in 0..300 {
@@ -184,7 +195,9 @@ fn held_snapshots_stay_frozen_under_churn() {
     });
     // The pinned snapshot is still the old world; a new one is not.
     assert_eq!(pinned.query("d", "/list/item").unwrap().len(), 10);
-    assert_eq!(sh.read().query("d", "/list/item").unwrap().len(), 25);
+    let fresh = sh.read().query("d", "/list/item").unwrap();
+    assert_eq!(fresh.len(), 10 + 60);
+    assert!(fresh.iter().all(|v| v == "w59-x"), "{fresh:?}");
 }
 
 /// The durable commit path under concurrency: four threads race
@@ -255,7 +268,7 @@ fn concurrent_durable_appliers_recover_completely() {
 #[test]
 fn guarded_updates_never_relabel_under_live_traffic() {
     let sh = shared();
-    sh.write().insert("d", "s", &doc(4, "seed")).unwrap();
+    sh.apply(&insert("d", doc(4, "seed"))).unwrap();
     std::thread::scope(|s| {
         for _ in 0..4 {
             let sh = sh.clone();
@@ -273,18 +286,16 @@ fn guarded_updates_never_relabel_under_live_traffic() {
             let sh = sh.clone();
             s.spawn(move || {
                 for i in 0..40 {
-                    let mut db = sh.write();
-                    let out = db
-                        .execute_update(
-                            "d",
-                            &format!("insert node <item>w{w}-{i}</item> into /list"),
-                        )
-                        .unwrap();
+                    let append = update(format!("insert node <item>w{w}-{i}</item> into /list"));
+                    let Ok(ApplyOutcome::UpdatedChecked(out)) = sh.apply(&append) else {
+                        panic!("append of item w{w}-{i} did not commit");
+                    };
                     // `item*` admits any append: provably valid, so the
                     // commit skipped revalidation entirely.
                     assert_eq!(out.revalidated, 0);
                     // A provably-invalid update is refused up front.
-                    assert!(db.execute_update("d", "insert node <rogue/> into /list").is_err());
+                    let rogue = update("insert node <rogue/> into /list".into());
+                    assert!(matches!(sh.apply(&rogue), Err(DbError::UpdateStaticallyInvalid(_))));
                 }
             });
         }
@@ -302,7 +313,7 @@ fn guarded_updates_never_relabel_under_live_traffic() {
 #[test]
 fn lock_survives_a_panicking_holder() {
     let sh = shared();
-    sh.write().insert("d", "s", &doc(2, "x")).unwrap();
+    sh.apply(&insert("d", doc(2, "x"))).unwrap();
     let sh2 = sh.clone();
     let result = std::thread::spawn(move || {
         let _guard = sh2.read();
@@ -310,8 +321,8 @@ fn lock_survives_a_panicking_holder() {
     })
     .join();
     assert!(result.is_err());
-    // The handle still serves both lock modes.
+    // The handle still serves both reads and writes.
     assert_eq!(sh.read().query("d", "/list/item").unwrap().len(), 2);
-    sh.write().insert("e", "s", &doc(1, "y")).unwrap();
+    sh.apply(&insert("e", doc(1, "y"))).unwrap();
     assert_eq!(sh.read().document_names().count(), 2);
 }

@@ -122,6 +122,10 @@ proptest! {
     /// document's catalog still equals a rebuild afterwards.
     #[test]
     fn mutation_sequences_preserve_stats(ops in 1usize..25, seed in 0u64..1_000_000) {
+        // Declared attributes are required, and an inserted element
+        // cannot carry one, so `id` lives on <library> and `title` is
+        // optional: appending an empty <book/> is then always a valid,
+        // committed update, and the sequence really grows the document.
         const XSD: &str = r#"
 <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
   <xs:element name="library">
@@ -130,13 +134,13 @@ proptest! {
         <xs:element name="book" minOccurs="0" maxOccurs="unbounded">
           <xs:complexType>
             <xs:sequence>
-              <xs:element name="title" type="xs:string"/>
+              <xs:element name="title" type="xs:string" minOccurs="0"/>
               <xs:element name="author" type="xs:string" minOccurs="0" maxOccurs="unbounded"/>
             </xs:sequence>
-            <xs:attribute name="id" type="xs:string"/>
           </xs:complexType>
         </xs:element>
       </xs:sequence>
+      <xs:attribute name="id" type="xs:string"/>
     </xs:complexType>
   </xs:element>
 </xs:schema>"#;
@@ -145,44 +149,32 @@ proptest! {
         sh.apply(&Mutation::Insert {
             doc: "d".into(),
             schema: "lib".into(),
-            xml: "<library><book id=\"b0\"><title>t0</title></book></library>".into(),
+            xml: "<library id=\"l0\"><book><title>t0</title></book></library>".into(),
         })
         .unwrap();
 
         let mut rng = TestRng::for_case("stats_mutations", seed);
+        let mut appended = 0usize;
         for op in 0..ops {
-            let m = match rng.below(5) {
-                0 => Mutation::UpdateInsert {
-                    doc: "d".into(),
-                    parent: "/library".into(),
-                    name: "book".into(),
-                    text: None,
-                },
-                1 => Mutation::UpdateInsert {
-                    doc: "d".into(),
-                    parent: format!("/library/book[{}]", 1 + rng.below(4)),
-                    name: "author".into(),
-                    text: Some(format!("a{op}")),
-                },
-                2 => Mutation::UpdateSetAttr {
-                    doc: "d".into(),
-                    xpath: format!("/library/book[{}]", 1 + rng.below(4)),
-                    attr: "id".into(),
-                    value: format!("b{op}"),
-                },
-                3 => Mutation::UpdateSetText {
-                    doc: "d".into(),
-                    xpath: format!("/library/book[{}]/title", 1 + rng.below(4)),
-                    value: format!("t{op}"),
-                },
-                _ => Mutation::UpdateDelete {
-                    doc: "d".into(),
-                    xpath: format!("/library/book[{}]/author[1]", 1 + rng.below(4)),
-                },
+            let k = 1 + rng.below(4);
+            let step = rng.below(5);
+            let update = match step {
+                0 => "insert node <book/> into /library".to_string(),
+                1 => format!("insert node <author>a{op}</author> into /library/book[{k}]"),
+                2 => format!(r#"insert attribute id="l{op}" into /library"#),
+                3 => format!(r#"replace value of node /library/book[{k}]/title with "t{op}""#),
+                _ => format!("delete node /library/book[{k}]/author[1]"),
             };
-            // Statically unsafe or empty-target updates may be refused —
-            // the invariant is about whatever actually applied.
-            let _ = sh.apply(&m);
+            let m = Mutation::Update { doc: "d".into(), update };
+            let applied = sh.apply(&m);
+            // Appending a book and setting the root's id are always
+            // valid, so they must commit; the other steps may be
+            // refused (static unsafety, empty target) — the invariant
+            // is about whatever actually applied.
+            if step == 0 || step == 2 {
+                prop_assert!(applied.is_ok(), "valid step {} refused: {:?}", op, applied);
+            }
+            appended += usize::from(step == 0);
             let db = sh.read();
             let storage = db.document("d").unwrap().storage().unwrap();
             prop_assert_eq!(
@@ -191,6 +183,8 @@ proptest! {
             );
             prop_assert_eq!(storage.check_invariants(), None);
         }
+        let books = sh.read().query("d", "/library/book").unwrap().len();
+        prop_assert_eq!(books, 1 + appended, "not every <book/> append committed");
     }
 }
 
@@ -236,7 +230,7 @@ fn database_replans_after_update() {
         <xs:element name="book" minOccurs="0" maxOccurs="unbounded">
           <xs:complexType>
             <xs:sequence>
-              <xs:element name="title" type="xs:string"/>
+              <xs:element name="title" type="xs:string" minOccurs="0"/>
             </xs:sequence>
           </xs:complexType>
         </xs:element>
@@ -255,9 +249,9 @@ fn database_replans_after_update() {
     };
     assert_eq!(db.query("d", "/library/book/title").unwrap().len(), 1);
 
-    let book = db.update_insert_element("d", "/library", "book", None).unwrap();
-    assert_eq!(book, 1);
-    db.update_insert_element("d", "/library/book[2]", "title", Some("two")).unwrap();
+    let book = db.execute_update("d", "insert node <book/> into /library").unwrap();
+    assert_eq!(book.nodes, 1);
+    db.execute_update("d", "insert node <title>two</title> into /library/book[2]").unwrap();
 
     // The post-update query sees both titles — it planned (and ran)
     // against the post-update catalog, never the stale one.
